@@ -39,10 +39,6 @@ DEFAULT_SEED = 20201023
 ALLOWED_T = (1, 2, 4, 8, 16, 32)
 
 
-class CapExceededError(ValueError):
-    pass
-
-
 def default_cache_dir() -> Path:
     env = os.environ.get("LASERLAB_CACHE_DIR")
     if env:
@@ -71,8 +67,6 @@ def _engine_config(args) -> EngineConfig:
     kwargs = {"seed": args.seed}
     if getattr(args, "heuristics", None):
         kwargs["heuristics_small"] = tuple(args.heuristics)
-    if getattr(args, "lams", None):
-        kwargs["lam_sweep"] = tuple(args.lams)
     if getattr(args, "iter_cap", None):
         kwargs["heuristic_iter_cap"] = args.iter_cap
     return EngineConfig(**kwargs)
@@ -108,11 +102,7 @@ def _settings_dict(config: EngineConfig) -> dict:
     return {
         "seed": config.seed,
         "heuristics_small": list(config.heuristics_small),
-        "heuristics_large": list(config.heuristics_large),
-        "large_t": config.large_t,
-        "lam_sweep": [decimal_str(x) for x in config.lam_sweep],
         "heuristic_iter_cap": config.heuristic_iter_cap,
-        "include_product_candidate": config.include_product_candidate,
     }
 
 
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_omega.add_argument("--t", type=int, required=True)
     p_omega.add_argument("--tol", type=float, default=1e-6)
     p_omega.add_argument("--heuristics", type=int, nargs="+")
-    p_omega.add_argument("--lams", type=float, nargs="+")
     p_omega.add_argument("--iter-cap", type=int)
     p_omega.add_argument("--cache")
     p_omega.add_argument("--stretch", action="store_true")
@@ -375,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t", type=int, required=True)
     p_an.add_argument("--tau", type=float, required=True)
     p_an.add_argument("--heuristics", type=int, nargs="+")
-    p_an.add_argument("--lams", type=float, nargs="+")
     p_an.add_argument("--iter-cap", type=int)
     p_an.add_argument("--cache")
     p_an.set_defaults(func=cmd_analyze)
@@ -433,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleMarginalsError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except cs.CapExceededError as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (ValueError, FileNotFoundError) as exc:
-        if "too large to enumerate" in str(exc):
-            print(f"cap exceeded: {exc}", file=sys.stderr)
-            return EXIT_CAP
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionError as exc:

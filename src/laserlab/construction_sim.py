@@ -27,6 +27,10 @@ from .distributions import SupportDistribution
 from .tensor_core import Triple, build_cw, support_block_triples
 
 
+class CapExceededError(ValueError):
+    """An instance is too large to enumerate under the caller's cap."""
+
+
 @dataclass(frozen=True)
 class SalemSpencerSet:
     """A subset of Z_M where a+b = 2c (mod M) forces a = b = c."""
@@ -72,47 +76,38 @@ class SalemSpencerSet:
         return True
 
 
-def _can_add(x: int, arr: np.ndarray, inA: np.ndarray, M: int, inv2: int | None) -> bool:
-    """Whether A + {x} stays progression-free, with A given as arr/inA."""
-    if arr.size == 0:
-        if M % 2 == 0 and M // 2 == 0:
-            return True
-        return True
+def _block(x: int | np.ndarray, arr: np.ndarray, blocked: np.ndarray, M: int) -> None:
+    """Mark x and every y that would close a progression with x and arr.
+
+    x may be a column of elements, blocked against every element of arr at
+    once. Pairs with x = a mark only x and, for even M, x + M/2, which are
+    marked anyway.
+    """
+    blocked[x] = True
+    blocked[(2 * x - arr) % M] = True
+    blocked[(2 * arr - x) % M] = True
     s = x + arr
     if M % 2:
-        c = (s * inv2) % M
-        if ((inA[c] | (c == x)) & (arr != x)).any():
-            return False
+        blocked[(s * ((M + 1) // 2)) % M] = True
     else:
-        half = M // 2
-        even = s % 2 == 0
-        if even.any():
-            c0 = (s[even] // 2) % M
-            for cc in (c0, (c0 + half) % M):
-                if ((inA[cc] | (cc == x)) & (arr[even] != x)).any():
-                    return False
-        if inA[(x + half) % M]:
-            return False
-    b = (2 * x - arr) % M
-    if (inA[b] & (arr != b)).any():
-        return False
-    return True
+        c = s[s % 2 == 0] // 2
+        blocked[c] = True
+        blocked[(c + M // 2) % M] = True
+        # a + a = 2(a + M/2): a pair at distance M/2 is a progression too.
+        blocked[(x + M // 2) % M] = True
 
 
 def _greedy_fill(seed_set: Sequence[int], M: int, rng: np.random.Generator) -> list[int]:
-    inv2 = pow(2, -1, M) if M % 2 else None
-    inA = np.zeros(M, dtype=bool)
+    """Extend seed_set by each x of a random order of Z_M that keeps it progression-free."""
     out = list(seed_set)
-    for a in out:
-        inA[a] = True
     arr = np.array(out, dtype=np.int64)
-    for x in rng.permutation(M):
-        x = int(x)
-        if inA[x]:
-            continue
-        if _can_add(x, arr, inA, M, inv2):
+    blocked = np.zeros(M, dtype=bool)
+    for i in range(0, arr.size, 64):
+        _block(arr[i:i + 64, None], arr, blocked, M)
+    for x in rng.permutation(M).tolist():
+        if not blocked[x]:
+            _block(x, arr, blocked, M)
             out.append(x)
-            inA[x] = True
             arr = np.append(arr, x)
     return out
 
@@ -222,39 +217,40 @@ def _ap_completions(x: int, a: int, M: int) -> set[int]:
 def max_progression_free_size(M: int) -> int:
     """Exact maximum size of a progression-free subset of Z_M.
 
-    Branch and bound over a shrinking candidate set: adding x immediately
-    removes every later candidate that would complete a progression with x
-    and an already-chosen element, so |A| + |candidates| is a tight bound.
-    Intended for small M (tests use M <= 60).
+    Branch and bound over candidate sets held as int bitsets: adding x
+    immediately removes every later candidate that would complete a
+    progression with x and an already-chosen element, so |A| + |candidates|
+    is a tight bound. Translation preserves progression-freeness, so 0 is
+    fixed in A. Intended for small M (tests use M <= 60).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if M in _BRUTE_CACHE:
         return _BRUTE_CACHE[M]
-    best = 0
-    # completions[x][a]: candidates invalidated by holding both x and a.
-    completions = [[_ap_completions(x, a, M) for a in range(M)] for x in range(M)]
 
-    def dfs(chosen: list[int], cands: list[int]) -> None:
+    def mask(ys: Iterable[int]) -> int:
+        return sum(1 << y for y in set(ys))
+
+    # completions[x][a]: candidates invalidated by holding both x and a.
+    completions = [[mask(_ap_completions(x, a, M)) for a in range(M)] for x in range(M)]
+    # For even M, x + M/2 is invalidated by x alone: x + x = 2(x + M/2).
+    opposite = [mask([(x + M // 2) % M] if M % 2 == 0 else []) for x in range(M)]
+    best = 1
+
+    def dfs(chosen: list[int], cands: int) -> None:
         nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        if len(chosen) + len(cands) <= best:
-            return
-        for pos, x in enumerate(cands):
-            if len(chosen) + len(cands) - pos <= best:
-                break
-            bad = set()
+        best = max(best, len(chosen))
+        while cands and len(chosen) + cands.bit_count() > best:
+            x = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            nxt = cands & ~opposite[x]
             for a in chosen:
-                bad |= completions[x][a]
-            if M % 2 == 0:
-                bad.add((x + M // 2) % M)
-            nxt = [y for y in cands[pos + 1:] if y not in bad]
+                nxt &= ~completions[x][a]
             chosen.append(x)
             dfs(chosen, nxt)
             chosen.pop()
 
-    dfs([], list(range(M)))
+    dfs([0], ((1 << M) - 2) & ~opposite[0])
     _BRUTE_CACHE[M] = best
     return best
 
@@ -614,7 +610,7 @@ def simulate_laser_pipeline(
     per_copy_total = sum(_multinomial(n, b.values()) for b in betas)
     N_T = per_copy_total ** 3
     if N_B > cap or per_copy_total > cap:
-        raise ValueError(
+        raise CapExceededError(
             f"instance too large to enumerate: N_B={N_B}, sequences={per_copy_total}, cap={cap}"
         )
     R = Fraction(N_alpha, N_B)
@@ -622,7 +618,6 @@ def simulate_laser_pipeline(
     M = m_floor if isprime(m_floor) else int(nextprime(m_floor))
     A = behrend_set(M)
     A_arr = np.array(sorted(A.elements), dtype=np.int64)
-    inv2 = pow(2, -1, M)
 
     # Enumerate the per-copy label sequences with the right side marginals.
     seqs: list[tuple[Triple, ...]] = []
@@ -651,29 +646,31 @@ def simulate_laser_pipeline(
     v = [Y @ banks[r] % M for r in range(3)]
     tt = [Z @ banks[r] % M for r in range(3)]
 
-    key2 = (u[1] + M * v[1] + M * M * tt[1]).astype(np.int64)
-    order2 = np.argsort(key2, kind="stable")
-    key2_sorted = key2[order2]
-
     # Pair grids over (copy-1 sequence, copy-3 sequence).
     px = (-(u[0][:, None] + tt[2][None, :])) % M
     py = (-(v[0][:, None] + u[2][None, :])) % M
     pz = (-(tt[0][:, None] + v[2][None, :])) % M
 
+    # (s1, s2, s3) survives with g when u[1], v[1], tt[1] at s2 equal
+    #   v2 = g/2 + px,  t2 = (g - 2 w0)/2 + py,  u2 = w0 + P SW - g + pz.
+    # The first fixes g = 2(v[1][s2] - px); the other two then become two
+    # keys of s2 that must equal two keys of (s1, s3), and g must lie in A.
+    key2 = (tt[1] - v[1]) % M + M * ((u[1] + 2 * v[1]) % M)
+    order2 = np.argsort(key2, kind="stable")
+    key2_sorted = key2[order2]
+    want = ((py - px - w0) % M + M * ((w0 + P * SW + 2 * px + pz) % M)).ravel()
+    left = np.searchsorted(key2_sorted, want, side="left")
+    right = np.searchsorted(key2_sorted, want, side="right")
+    inA = np.zeros(M, dtype=bool)
+    inA[A_arr] = True
     survivors: list[tuple[int, int, int, int]] = []
-    for g in A_arr.tolist():
-        v2 = (g * inv2 + px) % M
-        t2 = ((g - 2 * w0) * inv2 + py) % M
-        u2 = (w0 + P * SW - g + pz) % M
-        want = u2 + M * v2 + M * M * t2
-        left = np.searchsorted(key2_sorted, want, side="left")
-        right = np.searchsorted(key2_sorted, want, side="right")
-        hits = np.flatnonzero((right - left).ravel())
-        for flat in hits.tolist():
-            s1, s3 = divmod(flat, W)
-            lo, hi_ = left.ravel()[flat], right.ravel()[flat]
-            for s2 in order2[lo:hi_].tolist():
+    for flat in np.flatnonzero(right - left).tolist():
+        s1, s3 = divmod(flat, W)
+        for s2 in order2[left[flat]:right[flat]].tolist():
+            g = 2 * (int(v[1][s2]) - int(px[s1, s3])) % M
+            if inA[g]:
                 survivors.append((s1, s2, s3, g))
+    survivors.sort(key=lambda s: (s[3], s[0], s[2], s[1]))
 
     # Absolute hash checks on every survivor, straight from the definitions.
     def h_X(s1: int, s2: int, s3: int) -> int:
@@ -686,8 +683,6 @@ def simulate_laser_pipeline(
         return int(w0 + (P - Z[s1]) @ banks[0] + (P - X[s2]) @ banks[1] + (P - Y[s3]) @ banks[2]) % M
 
     hash_ok = True
-    inA = np.zeros(M, dtype=bool)
-    inA[A_arr] = True
     for (s1, s2, s3, g) in survivors:
         hx, hy, hz = h_X(s1, s2, s3), h_Y(s1, s2, s3), h_Z(s1, s2, s3)
         if (hx + hy) % M != (2 * hz) % M:

@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Sequence
 
 import mpmath as mp
 
-from .distributions import FULL_S3, SupportDistribution, entropy, marginals
-from .solver import evaluate_gamma, full_pipeline_gamma
+from .distributions import FULL_S3, SupportDistribution, entropy, marginals, symmetrize
+from .solver import HEURISTICS, InfeasibleMarginalsError, evaluate_gamma, full_pipeline_gamma
 from .tensor_core import ClassKey, Triple, split_subtensor
 
 SCHEMA_VERSION = 1
@@ -82,6 +82,16 @@ def class_is_realizable(q: int, t: int, I: int, J: int, K: int) -> bool:
                 if f >= 0 and e >= 0 and d >= 0:
                     return True
     return False
+
+
+def top_support(q: int, t: int) -> list[Triple]:
+    """The realizable outer block triples (I, J, K) of CW_q^t, sorted."""
+    return sorted(
+        (I, J, 2 * t - I - J)
+        for I in range(2 * t + 1)
+        for J in range(2 * t + 1 - I)
+        if class_is_realizable(q, t, I, J, 2 * t - I - J)
+    )
 
 
 def merged_count(q: int, t: int, I: int, J: int) -> int:
@@ -222,24 +232,21 @@ class OmegaResult:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Search budget and heuristic selection for the recursive analysis."""
+    """Search budget and heuristic selection for the recursive analysis.
+
+    The search is deterministic; ``seed`` is only recorded in the metadata.
+    """
 
     seed: int = 0
-    heuristics_small: tuple[int, ...] = (1, 2, 3, 4)
-    heuristics_large: tuple[int, ...] = (2,)
-    large_t: int = 16
-    lam_sweep: tuple[float, ...] = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
+    heuristics_small: tuple[int, ...] = (2,)
     heuristic_iter_cap: int = 20_000
-    include_product_candidate: bool = True
 
-    def heuristics_for(self, t: int) -> tuple[int, ...]:
-        return self.heuristics_large if t >= self.large_t else self.heuristics_small
-
-
-def _sorted_log_values(
-    key_values: Mapping[ClassKey, float], q: int, t: int, triples: Iterable[Triple]
-) -> dict[Triple, float]:
-    return {trip: key_values[ClassKey.make(q, t, *trip)] for trip in triples}
+    def __post_init__(self) -> None:
+        if not self.heuristics_small or not set(self.heuristics_small) <= HEURISTICS.keys():
+            raise ValueError(
+                f"heuristics must be a non-empty subset of {sorted(HEURISTICS)}, "
+                f"got {list(self.heuristics_small)}"
+            )
 
 
 class LaserEngine:
@@ -295,9 +302,7 @@ class LaserEngine:
             sorted(inner),
             inner,
             self.tau,
-            heuristics=self.config.heuristics_for(key.t),
-            lam_sweep=self.config.lam_sweep,
-            seed=self.config.seed,
+            heuristics=self.config.heuristics_small,
             max_iter=self.config.heuristic_iter_cap,
         )
         best = outcome.best
@@ -313,25 +318,16 @@ class LaserEngine:
             penalty_log=min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N)),
         )
 
-    def top_support(self, t: int) -> list[Triple]:
-        out = []
-        for I in range(2 * t + 1):
-            for J in range(2 * t + 1 - I):
-                K = 2 * t - I - J
-                if class_is_realizable(self.q, t, I, J, K):
-                    out.append((I, J, K))
-        return sorted(out)
-
     def analyze_cw(self, t: int) -> ValueTable:
         """Outer analysis of CW_q^t: per-class values plus the top pipeline."""
-        support = self.top_support(t)
+        support = top_support(self.q, t)
         log_values: dict[Triple, float] = {}
         for trip in support:
             vb = self.analyze_class(ClassKey.make(self.q, t, *trip))
             log_values[trip] = vb.log_value
 
         extras: list[tuple[str, SupportDistribution]] = []
-        if self.config.include_product_candidate and t >= 2 and t % 2 == 0:
+        if t >= 2 and t % 2 == 0:
             sub = self.analyze_cw(t // 2)
             if sub.top.alpha is not None:
                 extras.append(("product", _convolve(sub.top.alpha, support)))
@@ -340,24 +336,20 @@ class LaserEngine:
             support,
             log_values,
             self.tau,
-            heuristics=self.config.heuristics_for(t),
+            heuristics=self.config.heuristics_small,
             extra_gammas=extras,
-            lam_sweep=self.config.lam_sweep,
-            seed=self.config.seed,
             max_iter=self.config.heuristic_iter_cap,
         )
         best = outcome.best
         # The per-class values are symmetric under permuting roles, so the
         # symmetrized best class is also feasible and sometimes better.
-        sym = _s3_average(best.gamma, set(support))
-        if sym is not None:
-            try:
-                cand = evaluate_gamma(support, log_values, self.tau,
-                                      sym, best.heuristic + "+sym")
-                if cand.bound_log > best.bound_log:
-                    best = cand
-            except Exception:  # noqa: BLE001 - optional improvement only
-                pass
+        sym = symmetrize(best.gamma, FULL_S3, support)
+        try:
+            cand = evaluate_gamma(support, log_values, self.tau, sym, best.heuristic + "+sym")
+            if cand.bound_log > best.bound_log:
+                best = cand
+        except InfeasibleMarginalsError:
+            pass
         top = TopBound(
             log_value=best.bound_log,
             heuristic=best.heuristic,
@@ -372,8 +364,7 @@ class LaserEngine:
             "q": self.q,
             "t": t,
             "tau": decimal_str(self.tau),
-            "heuristics": list(self.config.heuristics_for(t)),
-            "lam_sweep": [decimal_str(v) for v in self.config.lam_sweep],
+            "heuristics": list(self.config.heuristics_small),
             "seed": self.config.seed,
         }
         return ValueTable(self.q, t, self.tau, dict(self._memo), top, metadata)
@@ -388,21 +379,6 @@ def _convolve(alpha: SupportDistribution, support_2t: Iterable[Triple]) -> Suppo
             s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
             if s in allowed:
                 out[s] = out.get(s, 0.0) + pa * pb
-    return SupportDistribution(out)
-
-
-def _s3_average(
-    gamma: SupportDistribution | None, support: set[Triple]
-) -> SupportDistribution | None:
-    if gamma is None:
-        return None
-    out: dict[Triple, float] = {}
-    for (i, j, k), p in gamma.weights.items():
-        for perm in FULL_S3:
-            img = ((i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]])
-            if img not in support:
-                return None
-            out[img] = out.get(img, 0.0) + p / len(FULL_S3)
     return SupportDistribution(out)
 
 
@@ -448,43 +424,30 @@ def omega_bound(
     """Bisection on tau for V_tau(CW_q^t) >= (q+2)^t, reported one-sided safe.
 
     The returned tau* is the smallest tau observed feasible (never an
-    untested midpoint), and the analysis at tau* is re-verified in extended
-    precision; `certified` reflects that recheck.
+    untested midpoint).  The table of that probe is returned and re-verified
+    in extended precision; `certified` reflects that recheck.
     """
     if tol < 1e-9:
         raise ValueError("tolerance below 1e-9 is not supported")
     threshold = t * math.log(q + 2)
     config = config or EngineConfig()
-    # Bisection probes run with the two concave heuristics only; the final
-    # table at tau* is rebuilt with the full configured search.  A probe's
-    # feasibility verdict is always sound (any candidate bound is a valid
-    # lower bound), so thinning the search only risks a slightly larger
-    # tau*, and in practice the concave pair matches the full set.
-    search_config = EngineConfig(
-        seed=config.seed,
-        heuristics_small=(2, 4),
-        heuristics_large=config.heuristics_large,
-        large_t=config.large_t,
-        lam_sweep=config.lam_sweep,
-        heuristic_iter_cap=config.heuristic_iter_cap,
-        include_product_candidate=config.include_product_candidate,
-    )
 
-    def feasible(tau: float) -> bool:
-        table = LaserEngine(q, tau, search_config).analyze_cw(t)
-        return table.top.log_value >= threshold + 1e-9
+    def feasible(tau: float) -> ValueTable | None:
+        table = LaserEngine(q, tau, config).analyze_cw(t)
+        return table if table.top.log_value >= threshold + 1e-9 else None
 
     hi = 1.0
-    if not feasible(hi):
+    table_hi = feasible(hi)
+    if table_hi is None:
         raise ValueError(f"infeasible even at tau = 1 for q={q}, t={t}")
     lo = 2.0 / 3.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
+        table = feasible(mid)
+        if table is None:
             lo = mid
-    table_hi = LaserEngine(q, hi, config).analyze_cw(t)
+        else:
+            hi, table_hi = mid, table
     cert = certify_table(table_hi)
     certified = cert.all_passed and cert.top_certified_value >= mp.mpf(t) * mp.log(q + 2)
     result = OmegaResult(q=q, t=t, tau_star=hi, omega=3.0 * hi, tol=tol, certified=bool(certified))
@@ -521,6 +484,12 @@ def _mp_dual_bound(
 ) -> mp.mpf:
     mx, my, mz = ({k: mp.mpf(v) for k, v in side.items()} for side in mults)
     gx, gy, gz = marg
+    for m, g in ((mx, gx), (my, gy), (mz, gz)):
+        if any(p > 0 and lab not in m for lab, p in g.items()):
+            # Without a multiplier for every used label there is no dual
+            # certificate; +inf is the only entropy bound left, and it
+            # certifies nothing.
+            return mp.inf
     terms = []
     for (i, j, k) in support:
         if gx.get(i, 0) > 0 and gy.get(j, 0) > 0 and gz.get(k, 0) > 0:
@@ -621,13 +590,7 @@ def certify_table(table: ValueTable) -> CertReport:
             cert_class(key)
 
         top = table.top
-        support = sorted(
-            trip for trip in (
-                (I, J, 2 * table.t - I - J)
-                for I in range(2 * table.t + 1)
-                for J in range(2 * table.t + 1 - I)
-            ) if class_is_realizable(q, table.t, *trip)
-        )
+        support = top_support(q, table.t)
         log_values = {
             trip: cert_class(ClassKey.make(q, table.t, *trip)) for trip in support
         }

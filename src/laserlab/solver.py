@@ -1,6 +1,6 @@
 """Optimization over distributions on a block support.
 
-Two exact programs and four heuristics drive the value bound.  On a fixed
+Two exact programs and two heuristics drive the value bound.  On a fixed
 marginal class D_gamma, Problem 2 maximizes entropy and Problem 1 maximizes
 the linear-plus-half-entropy trade-off; both optima have Gibbs product form
 and are found by iterative proportional fitting in log domain.  The
@@ -15,7 +15,7 @@ multipliers), so solver convergence affects quality, never soundness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .distributions import Marginals, SupportDistribution, entropy, marginals
 from .tensor_core import Triple
 
 INNER_ITER_CAP = 100_000
-OUTER_ITER_CAP = 1_000
 KKT_TARGET = 1e-9
 IPF_TOL = 1e-12
 
@@ -35,29 +34,6 @@ class InfeasibleMarginalsError(ValueError):
     def __init__(self, message: str, best_residual: float = math.inf):
         super().__init__(f"{message} (best residual {best_residual:.3e})")
         self.best_residual = best_residual
-
-
-@dataclass(frozen=True)
-class SolverInstance:
-    """A single optimization problem over distributions on S."""
-
-    support: tuple[Triple, ...]
-    log_values: tuple[float, ...]
-    tau: float
-    kind: str
-    fixed_marginals: Marginals | None = None
-    lam: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in {
-            "problem1", "problem2",
-            "heuristic1", "heuristic2", "heuristic3", "heuristic4",
-        }:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "heuristic3" and (self.lam is None or not math.isfinite(self.lam)):
-            raise ValueError("heuristic3 requires a finite lambda")
-        if len(self.log_values) != len(self.support):
-            raise ValueError("log_values length mismatch")
 
 
 @dataclass(frozen=True)
@@ -341,18 +317,6 @@ def _h4_objective(arr: _Arrays, w: np.ndarray) -> float:
     return _h2_objective(arr, w) + 0.5 * _np_entropy(w)
 
 
-def _h3_objective(arr: _Arrays, w: np.ndarray, lam: float) -> float:
-    return math.exp(_h2_objective(arr, w)) + lam * math.exp(-_np_entropy(w))
-
-
-def _h3_gradient(arr: _Arrays, w: np.ndarray, lam: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        lw = np.log(np.maximum(w, 1e-300))
-    a = math.exp(_h2_objective(arr, w))
-    b = lam * math.exp(-_np_entropy(w))
-    return a * _h2_gradient(arr, w) + b * (lw + 1.0)
-
-
 def _eg_ascent(
     arr: _Arrays,
     w0: np.ndarray,
@@ -397,8 +361,7 @@ def _eg_ascent(
     return w, gap, it
 
 
-def _dirichlet_starts(rng: np.random.Generator, size: int, count: int) -> list[np.ndarray]:
-    return [rng.dirichlet(np.ones(size)) for _ in range(count)]
+HEURISTICS = {2: (_h2_objective, _h2_gradient), 4: (_h4_objective, _h4_gradient)}
 
 
 def heuristic_gamma(
@@ -406,119 +369,23 @@ def heuristic_gamma(
     support: Iterable[Triple],
     log_values: Mapping[Triple, float],
     tau: float,
-    lam: float | None = None,
-    seed: int = 0,
-    n_starts: int = 8,
     max_iter: int = INNER_ITER_CAP,
 ) -> SolverResult:
-    """One of the four marginal-class search heuristics.
+    """One of the two marginal-class search heuristics, from the uniform start.
 
-    1: product-form manifold ascent on gamma_V * gamma_B (multi-start).
     2: concave ascent of gamma_V * gamma_B over the simplex.
-    3: multi-start ascent of gamma_V * gamma_B + lambda / gamma_N.
     4: concave ascent of gamma_V * gamma_B * sqrt(gamma_N).
     """
+    if kind not in HEURISTICS:
+        raise ValueError(f"unknown heuristic kind {kind}")
+    objective, gradient = HEURISTICS[kind]
     trips = sorted(support)
     arr = _Arrays(trips, [log_values[t] for t in trips])
-    n = len(trips)
-    uniform = np.full(n, 1.0 / n)
-    rng = np.random.default_rng(seed)
-
-    if kind == 2:
-        w, gap, it = _eg_ascent(
-            arr, uniform, lambda v: _h2_objective(arr, v), lambda v: _h2_gradient(arr, v),
-            max_iter=max_iter,
-        )
-        return SolverResult(arr.to_distribution(w), _h2_objective(arr, w), gap, it, gap <= KKT_TARGET)
-    if kind == 4:
-        w, gap, it = _eg_ascent(
-            arr, uniform, lambda v: _h4_objective(arr, v), lambda v: _h4_gradient(arr, v),
-            max_iter=max_iter,
-        )
-        return SolverResult(arr.to_distribution(w), _h4_objective(arr, w), gap, it, gap <= KKT_TARGET)
-    if kind == 3:
-        if lam is None:
-            raise ValueError("heuristic 3 requires lambda")
-        starts = [uniform] + _dirichlet_starts(rng, n, max(n_starts - 1, 7))
-        best: tuple[np.ndarray, float, int] | None = None
-        for w0 in starts:
-            w, gap, it = _eg_ascent(
-                arr, w0, lambda v: _h3_objective(arr, v, lam),
-                lambda v: _h3_gradient(arr, v, lam),
-                max_iter=max(200, max_iter // 40),
-            )
-            f = _h3_objective(arr, w, lam)
-            if best is None or f > best[1]:
-                best = (w, f, it)
-        w, f, it = best
-        g = _h3_gradient(arr, w, lam)
-        gap = float(np.max(g) - np.dot(w, g))
-        return SolverResult(arr.to_distribution(w), f, max(gap, 0.0), it, gap <= KKT_TARGET)
-    if kind == 1:
-        return _heuristic1(arr, rng, n_starts, max_iter)
-    raise ValueError(f"unknown heuristic kind {kind}")
-
-
-def _heuristic1(
-    arr: _Arrays, rng: np.random.Generator, n_starts: int, max_iter: int
-) -> SolverResult:
-    """Product-form gamma: softmax of a_i + b_j + c_k over S, ascent on H2's objective."""
-    nx, ny, nz = len(arr.x_labels), len(arr.y_labels), len(arr.z_labels)
-
-    def weights(theta: np.ndarray) -> np.ndarray:
-        a, b, c = theta[:nx], theta[nx:nx + ny], theta[nx + ny:]
-        lg = a[arr.ix] + b[arr.iy] + c[arr.iz]
-        lg -= lg.max()
-        w = np.exp(lg)
-        return w / w.sum()
-
-    def objective(theta: np.ndarray) -> float:
-        return _h2_objective(arr, weights(theta))
-
-    def grad(theta: np.ndarray) -> np.ndarray:
-        w = weights(theta)
-        g = _h2_gradient(arr, w)
-        centered = w * (g - np.dot(w, g))
-        out = np.zeros_like(theta)
-        np.add.at(out[:nx], arr.ix, centered)
-        np.add.at(out[nx:nx + ny], arr.iy, centered)
-        np.add.at(out[nx + ny:], arr.iz, centered)
-        return out
-
-    best: tuple[np.ndarray, float, int] | None = None
-    starts = [np.zeros(nx + ny + nz)] + [
-        rng.normal(size=nx + ny + nz) for _ in range(max(n_starts - 1, 7))
-    ]
-    for theta in starts:
-        theta = theta.copy()
-        f = objective(theta)
-        step = 1.0
-        it = 0
-        for it in range(1, max_iter // 20 + 1):
-            g = grad(theta)
-            if float(np.linalg.norm(g, ord=np.inf)) <= KKT_TARGET:
-                break
-            trial = step
-            for _ in range(50):
-                cand = theta + trial * g
-                fc = objective(cand)
-                if fc >= f:
-                    break
-                trial *= 0.5
-            else:
-                break
-            step = min(trial * 1.5, 1e3)
-            theta, f = cand, fc
-        if best is None or f > best[1]:
-            best = (theta, f, it)
-    theta, f, it = best
-    w = weights(theta)
-    g = grad(theta)
-    gap = float(np.linalg.norm(g, ord=np.inf))
-    return SolverResult(arr.to_distribution(w), f, gap, it, gap <= KKT_TARGET)
-
-
-LAMBDA_SWEEP: tuple[float, ...] = (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
+    w, gap, it = _eg_ascent(
+        arr, np.full(len(trips), 1.0 / len(trips)),
+        lambda v: objective(arr, v), lambda v: gradient(arr, v), max_iter=max_iter,
+    )
+    return SolverResult(arr.to_distribution(w), objective(arr, w), gap, it, gap <= KKT_TARGET)
 
 
 @dataclass(frozen=True)
@@ -589,10 +456,8 @@ def full_pipeline_gamma(
     support: Iterable[Triple],
     log_values: Mapping[Triple, float],
     tau: float,
-    heuristics: Sequence[int] = (1, 2, 3, 4),
+    heuristics: Sequence[int] = (2,),
     extra_gammas: Sequence[tuple[str, SupportDistribution]] = (),
-    lam_sweep: Sequence[float] = LAMBDA_SWEEP,
-    seed: int = 0,
     max_iter: int = INNER_ITER_CAP,
 ) -> PipelineOutcome:
     """Search for the best refined bound over candidate marginal classes.
@@ -611,19 +476,11 @@ def full_pipeline_gamma(
         ("point-mass", SupportDistribution.point_mass(best_triple))
     ]
     for kind in heuristics:
-        if kind == 3:
-            for lam in lam_sweep:
-                try:
-                    res = heuristic_gamma(3, trips, log_values, tau, lam=lam, seed=seed, max_iter=max_iter)
-                    gammas.append((f"h3[lam={lam:g}]", res.distribution))
-                except Exception as exc:  # noqa: BLE001 - aggregated below
-                    failures.append(f"h3[lam={lam:g}]: {exc}")
-        else:
-            try:
-                res = heuristic_gamma(kind, trips, log_values, tau, seed=seed, max_iter=max_iter)
-                gammas.append((f"h{kind}", res.distribution))
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"h{kind}: {exc}")
+        try:
+            res = heuristic_gamma(kind, trips, log_values, tau, max_iter=max_iter)
+            gammas.append((f"h{kind}", res.distribution))
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"h{kind}: {exc}")
     gammas.extend(extra_gammas)
 
     for name, gamma in gammas:

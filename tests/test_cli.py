@@ -99,6 +99,24 @@ def test_cache_verify_catches_tampering(capsys, cache_dir):
     assert "FAILED" in out
 
 
+def test_cache_verify_fails_entry_with_missing_multiplier(capsys, cache_dir):
+    run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
+    path = next(cache_dir.glob("*.json"))
+    data = json.loads(path.read_text())
+    del data["top"]["dual_multipliers"]["x"]["0"]
+    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    code, out = run(capsys, "cache", "verify")
+    assert code == EXIT_CERT
+    assert "1 FAILED" in out
+
+
+def test_unknown_heuristic_is_config_error(capsys, cache_dir):
+    code, _ = run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8",
+                  "--heuristics", "7")
+    assert code == EXIT_CONFIG
+    assert not list(cache_dir.glob("*.json"))
+
+
 def test_cache_schema_mismatch_exit_code(capsys, cache_dir):
     run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
     path = next(cache_dir.glob("*.json"))

@@ -16,6 +16,7 @@ from laserlab.laser_engine import (
     decimal_str,
     merged_count,
     merged_value,
+    omega_bound,
     refined_bound,
     schonhage_tau,
     table_from_json,
@@ -99,7 +100,7 @@ def test_value_bound_rejects_positive_penalty():
         ValueBound(key=key, tau=0.8, log_value=0.1, method="merge", penalty_log=0.5)
 
 
-FAST = EngineConfig(heuristics_small=(2,), lam_sweep=(0.0,), heuristic_iter_cap=2000)
+FAST = EngineConfig(heuristics_small=(2,), heuristic_iter_cap=2000)
 
 
 def test_analyze_cw_t1_beats_leaf_values():
@@ -156,3 +157,21 @@ def test_certify_catches_tampering():
     object.__setattr__(top, "log_value", top.log_value + 1e-3)
     cert = certify_table(tampered)
     assert not cert.all_passed
+
+
+@pytest.mark.parametrize("q, t, tau_star", [
+    (6, 1, "7.9573059082031250000000000000000000e-1"),
+    (6, 2, "7.9182624816894531250000000000000000e-1"),
+])
+def test_omega_bound_pins_tau_star_and_keeps_last_probe(q, t, tau_star):
+    result, table = omega_bound(q, t)
+    assert decimal_str(result.tau_star) == tau_star
+    # The returned table is the last feasible probe's, not a rebuild.
+    assert table.tau == result.tau_star
+    assert result.certified
+
+
+def test_engine_config_rejects_unknown_heuristics():
+    for bad in ((), (7,), (1, 2), (2, 3)):
+        with pytest.raises(ValueError):
+            EngineConfig(heuristics_small=bad)

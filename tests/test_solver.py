@@ -91,12 +91,11 @@ def test_kernel_dimension_on_toy():
     assert kernel_basis(TOY).shape[0] == 1
 
 
-@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [2, 4])
 def test_heuristics_return_feasible_gamma(kind):
     rng = np.random.default_rng(1)
     lv = {t: float(rng.normal(scale=0.3)) for t in TOY}
-    lam = 10.0 if kind == 3 else None
-    res = heuristic_gamma(kind, TOY, lv, 0.8, lam=lam, seed=4, n_starts=4, max_iter=3000)
+    res = heuristic_gamma(kind, TOY, lv, 0.8, max_iter=3000)
     w = [res.distribution[t] for t in TOY]
     assert math.isclose(sum(w), 1.0, abs_tol=1e-9)
     assert all(p >= -1e-15 for p in w)
@@ -105,7 +104,7 @@ def test_heuristics_return_feasible_gamma(kind):
 
 def test_h2_converges_on_toy():
     lv = {t: 0.0 for t in TOY}
-    res = heuristic_gamma(2, TOY, lv, 0.8, seed=0)
+    res = heuristic_gamma(2, TOY, lv, 0.8)
     assert res.kkt_residual <= 1e-9
 
 
@@ -120,7 +119,7 @@ def test_evaluate_gamma_uniform_toy():
 def test_full_pipeline_includes_point_mass_and_orders():
     rng = np.random.default_rng(2)
     lv = {t: float(rng.normal(scale=0.2)) for t in TOY}
-    out = full_pipeline_gamma(TOY, lv, 0.8, heuristics=(2, 4), seed=1, max_iter=2000)
+    out = full_pipeline_gamma(TOY, lv, 0.8, heuristics=(2, 4), max_iter=2000)
     names = {c.heuristic for c in out.candidates}
     assert "point-mass" in names
     point = next(c for c in out.candidates if c.heuristic == "point-mass")
