@@ -20,11 +20,33 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from sympy import isprime, nextprime
-from sympy.utilities.iterables import multiset_permutations
 
-from .distributions import SupportDistribution
+from .distributions import SupportDistribution, marginal_sums
 from .tensor_core import Triple, build_cw, support_block_triples
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division, O(sqrt n): ample for the pipeline's moduli."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def _multiset_permutations(bag: Sequence) -> Iterable[tuple]:
+    """The distinct orderings of a multiset, in lexicographic order."""
+    perm = sorted(bag)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 class CapExceededError(ValueError):
@@ -498,7 +520,7 @@ class PipelineStats:
             raise ValueError("C1' cannot exceed C1")
         if self.L > self.C1:
             raise ValueError("L exceeds the alpha-consistent survivor count")
-        if not isprime(self.M):
+        if not _is_prime(self.M):
             raise ValueError("M must be prime")
 
 
@@ -528,22 +550,11 @@ def _multinomial(n: int, parts: Iterable[int]) -> int:
     return out
 
 
-def _marginal_counts(counts: Mapping[Triple, int]) -> tuple[dict, dict, dict]:
-    x: dict[int, int] = {}
-    y: dict[int, int] = {}
-    z: dict[int, int] = {}
-    for (i, j, k), c in counts.items():
-        x[i] = x.get(i, 0) + c
-        y[j] = y.get(j, 0) + c
-        z[k] = z.get(k, 0) + c
-    return x, y, z
-
-
 def _distribution_class(
     support: Sequence[Triple], counts: Mapping[Triple, int]
 ) -> list[dict[Triple, int]]:
     """All integer count vectors on the support sharing counts' marginals."""
-    xm, ym, zm = _marginal_counts(counts)
+    xm, ym, zm = marginal_sums(counts)
     n = sum(counts.values())
     out: list[dict[Triple, int]] = []
     trips = sorted(support)
@@ -597,7 +608,7 @@ def simulate_laser_pipeline(
         if trip not in set(support):
             raise ValueError(f"alpha triple {trip} outside the CW block support")
 
-    xm, ym, zm = _marginal_counts(counts)
+    xm, ym, zm = marginal_sums(counts)
     mult_side = (
         _multinomial(n, xm.values()),
         _multinomial(n, ym.values()),
@@ -615,7 +626,9 @@ def simulate_laser_pipeline(
         )
     R = Fraction(N_alpha, N_B)
     m_floor = max(5, math.ceil(R * 100))
-    M = m_floor if isprime(m_floor) else int(nextprime(m_floor))
+    M = m_floor
+    while not _is_prime(M):
+        M += 1
     A = behrend_set(M)
     A_arr = np.array(sorted(A.elements), dtype=np.int64)
 
@@ -627,8 +640,8 @@ def simulate_laser_pipeline(
         for trip, c in sorted(beta.items()):
             bag.extend([trip] * c)
         is_alpha = beta == counts
-        for perm in multiset_permutations(bag):
-            seqs.append(tuple(perm))
+        for perm in _multiset_permutations(bag):
+            seqs.append(perm)
             alpha_flags.append(is_alpha)
     W = len(seqs)
     X = np.array([[t[0] for t in s] for s in seqs], dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .tensor_core import Triple
 
@@ -20,16 +20,13 @@ SUM_TOLERANCE = 1e-12
 RENORM_TOLERANCE = 1e-9
 
 
-def _xlogx(p: float) -> float:
-    """p * ln(p) with the 0^0 := 1 convention, i.e. 0 at p = 0."""
-    if p <= 0.0:
-        return 0.0
-    return p * math.log(p)
+def entropy(weights: Iterable, log: Callable = math.log):
+    """Shannon entropy in nats, with 0 ln 0 = 0.
 
-
-def entropy(weights: Iterable[float]) -> float:
-    """Shannon entropy in nats."""
-    return -sum(_xlogx(p) for p in weights)
+    ``log`` picks the arithmetic: ``math.log`` for floats, ``mpmath.log``
+    for extended-precision weights.
+    """
+    return -sum(p * log(p) for p in weights if p > 0)
 
 
 @dataclass(frozen=True)
@@ -118,16 +115,46 @@ class DerivedQuantities:
             raise ValueError("negative entropy term")
 
 
+def marginal_sums(weights: Mapping[Triple, object]) -> tuple[dict, dict, dict]:
+    """Per-block sums of a weights mapping on the x, y and z sides."""
+    x: dict = {}
+    y: dict = {}
+    z: dict = {}
+    for (i, j, k), p in weights.items():
+        x[i] = x.get(i, 0) + p
+        y[j] = y.get(j, 0) + p
+        z[k] = z.get(k, 0) + p
+    return x, y, z
+
+
 def marginals(alpha: SupportDistribution) -> Marginals:
     """Exact per-block marginal sums on each of the three sides."""
-    x: dict[int, float] = {}
-    y: dict[int, float] = {}
-    z: dict[int, float] = {}
-    for (i, j, k), p in alpha.weights.items():
-        x[i] = x.get(i, 0.0) + p
-        y[j] = y.get(j, 0.0) + p
-        z[k] = z.get(k, 0.0) + p
-    return Marginals(x, y, z)
+    return Marginals(*marginal_sums(alpha.weights))
+
+
+def bound_terms(
+    weights: Mapping[Triple, object],
+    marg: Marginals,
+    log_values: Mapping[Triple, object],
+    num=math,
+) -> tuple:
+    """(ln alpha_V, ln alpha_B, ln alpha_N) of weights whose class is ``marg``.
+
+    ``num`` is the arithmetic: ``math`` for the search, ``mpmath`` for
+    certification.  Only triples of positive weight need a log value.
+    """
+    log_v = num.fsum(p * log_values[t] for t, p in weights.items() if p > 0)
+    log_b = sum(entropy(side.values(), num.log) for side in marg.as_tuple()) / 3
+    return log_v, log_b, entropy(weights.values(), num.log)
+
+
+def refined_combination(log_v, log_b, log_n, max_log_beta_n):
+    """ln alpha_V + ln alpha_B + (ln alpha_N - max_beta ln beta_N) / 2.
+
+    An upper bound M on the max is clamped to at least ln alpha_N, since
+    alpha itself lies in its class.
+    """
+    return log_v + log_b + (log_n - max(max_log_beta_n, log_n)) / 2
 
 
 def derived(
@@ -143,21 +170,10 @@ def derived(
     """
     if not (2.0 / 3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
         raise ValueError(f"tau {tau} outside [2/3, 1]")
-    marg = marginals(alpha)
-    log_b = (
-        entropy(marg.x_marg.values())
-        + entropy(marg.y_marg.values())
-        + entropy(marg.z_marg.values())
-    ) / 3.0
-    log_n = entropy(alpha.weights.values())
-    log_v = 0.0
     for trip, p in alpha.weights.items():
-        if p == 0.0:
-            continue
-        lv = subtensor_log_values[trip]
-        if not math.isfinite(lv):
+        if p > 0.0 and not math.isfinite(subtensor_log_values[trip]):
             raise ValueError(f"nonpositive value for triple {trip}")
-        log_v += p * lv
+    log_v, log_b, log_n = bound_terms(alpha.weights, marginals(alpha), subtensor_log_values)
     return DerivedQuantities(log_alpha_B=log_b, log_alpha_N=log_n, log_alpha_V=log_v)
 
 

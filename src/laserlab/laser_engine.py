@@ -24,8 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 import mpmath as mp
 
-from .distributions import FULL_S3, SupportDistribution, entropy, marginals, symmetrize
-from .solver import HEURISTICS, InfeasibleMarginalsError, evaluate_gamma, full_pipeline_gamma
+from .distributions import (
+    FULL_S3, Marginals, SupportDistribution, bound_terms, entropy, marginal_sums, marginals,
+    refined_combination, symmetrize,
+)
+from .solver import (
+    HEURISTICS, InfeasibleMarginalsError, entropy_dual_bound, evaluate_gamma, full_pipeline_gamma,
+)
 from .tensor_core import ClassKey, Triple, split_subtensor
 
 SCHEMA_VERSION = 1
@@ -126,24 +131,15 @@ def refined_bound(
 ) -> float:
     """Theorem bound: log alpha_V + log alpha_B + (1/2)(log alpha_N - max log beta_N)."""
     allowed = set(support)
-    log_v = math.fsum(
-        p * log_values[t] for t, p in alpha.weights.items() if p > 0.0
-    )
     for t in alpha.weights:
         if t not in allowed:
             raise ValueError(f"alpha triple {t} outside support")
-    marg = marginals(alpha)
-    log_b = (
-        entropy(marg.x_marg.values())
-        + entropy(marg.y_marg.values())
-        + entropy(marg.z_marg.values())
-    ) / 3.0
-    log_n = entropy(alpha.weights.values())
+    log_v, log_b, log_n = bound_terms(alpha.weights, marginals(alpha), log_values)
     if max_log_beta_N < log_n - 1e-9:
         raise ValueError(
             f"max log beta_N {max_log_beta_N} below alpha's own entropy {log_n}"
         )
-    return log_v + log_b + 0.5 * (log_n - max(max_log_beta_N, log_n))
+    return refined_combination(log_v, log_b, log_n, max_log_beta_N)
 
 
 def classic_bound(
@@ -158,12 +154,28 @@ def classic_bound(
     return half - 0.5 * (max(max_log_beta_N, marg_entropy) - marg_entropy)
 
 
-def merged_value(q: int, t: int, I: int, J: int, tau: float) -> float:
+def merged_value(q: int, t: int, I: int, J: int, tau, num=math):
     """log V_tau of the merged class T^t_{IJ0} = <N,1,1>, i.e. tau * ln N."""
     n = merged_count(q, t, I, J)
     if n == 0:
         raise ValueError(f"class T^{t}_({I},{J},0) is the zero tensor at q={q}")
-    return tau * math.log(n)
+    return tau * num.log(n)
+
+
+def _class_method(key: ClassKey) -> str:
+    """How a class is valued: merged if it touches index 0, else by recursion."""
+    if key.ijk[0] == 0:
+        return "matmul-leaf" if key.t == 1 else "merge"
+    return "recursion"
+
+
+def _realizable_splits(key: ClassKey):
+    """Each split of a class into two nonzero half-level classes, as
+    (inner triple, child key, complement key)."""
+    half = key.t // 2
+    for child, comp in split_subtensor(key):
+        if class_is_realizable(key.q, half, *child) and class_is_realizable(key.q, half, *comp):
+            yield child, ClassKey.make(key.q, half, *child), ClassKey.make(key.q, half, *comp)
 
 
 @dataclass(frozen=True)
@@ -270,8 +282,8 @@ class LaserEngine:
         I, J, K = key.ijk
         if not class_is_realizable(self.q, key.t, I, J, K):
             raise ValueError(f"class {key} is the zero tensor")
-        if I == 0:
-            method = "matmul-leaf" if key.t == 1 else "merge"
+        method = _class_method(key)
+        if method != "recursion":
             bound = ValueBound(
                 key=key,
                 tau=self.tau,
@@ -286,16 +298,9 @@ class LaserEngine:
     def _analyze_by_recursion(self, key: ClassKey) -> ValueBound:
         if key.t % 2:
             raise ValueError(f"cannot split odd t in {key}")
-        half = key.t // 2
         inner: dict[Triple, float] = {}
-        for child, comp in split_subtensor(key):
-            if not class_is_realizable(self.q, half, *child):
-                continue
-            if not class_is_realizable(self.q, half, *comp):
-                continue
-            v1 = self.analyze_class(ClassKey.make(self.q, half, *child))
-            v2 = self.analyze_class(ClassKey.make(self.q, half, *comp))
-            inner[child] = v1.log_value + v2.log_value
+        for child, k1, k2 in _realizable_splits(key):
+            inner[child] = self.analyze_class(k1).log_value + self.analyze_class(k2).log_value
         if not inner:
             raise ValueError(f"class {key} has no realizable split")
         outcome = full_pipeline_gamma(
@@ -469,41 +474,6 @@ class CertReport:
     all_passed: bool
 
 
-def _mp_entropy(weights: Sequence[mp.mpf]) -> mp.mpf:
-    total = mp.mpf(0)
-    for p in weights:
-        if p > 0:
-            total -= p * mp.log(p)
-    return total
-
-
-def _mp_dual_bound(
-    support: Iterable[Triple],
-    marg: tuple[dict[int, mp.mpf], dict[int, mp.mpf], dict[int, mp.mpf]],
-    mults: tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float]],
-) -> mp.mpf:
-    mx, my, mz = ({k: mp.mpf(v) for k, v in side.items()} for side in mults)
-    gx, gy, gz = marg
-    for m, g in ((mx, gx), (my, gy), (mz, gz)):
-        if any(p > 0 and lab not in m for lab, p in g.items()):
-            # Without a multiplier for every used label there is no dual
-            # certificate; +inf is the only entropy bound left, and it
-            # certifies nothing.
-            return mp.inf
-    terms = []
-    for (i, j, k) in support:
-        if gx.get(i, 0) > 0 and gy.get(j, 0) > 0 and gz.get(k, 0) > 0:
-            terms.append(mx[i] + my[j] + mz[k])
-    peak = max(terms)
-    log_z = peak + mp.log(mp.fsum(mp.exp(v - peak) for v in terms))
-    dot = (
-        mp.fsum(p * mx[i] for i, p in gx.items() if p > 0)
-        + mp.fsum(p * my[j] for j, p in gy.items() if p > 0)
-        + mp.fsum(p * mz[k] for k, p in gz.items() if p > 0)
-    )
-    return log_z - dot
-
-
 def _certify_distribution_bound(
     support: Sequence[Triple],
     log_values: Mapping[Triple, mp.mpf],
@@ -519,24 +489,11 @@ def _certify_distribution_bound(
     w = {t: mp.mpf(v) for t, v in alpha_weights.items()}
     total = mp.fsum(w.values())
     w = {t: v / total for t, v in w.items()}
-    gx: dict[int, mp.mpf] = {}
-    gy: dict[int, mp.mpf] = {}
-    gz: dict[int, mp.mpf] = {}
-    for (i, j, k), p in w.items():
-        gx[i] = gx.get(i, mp.mpf(0)) + p
-        gy[j] = gy.get(j, mp.mpf(0)) + p
-        gz[k] = gz.get(k, mp.mpf(0)) + p
-    log_v = mp.fsum(p * log_values[t] for t, p in w.items() if p > 0)
-    log_b = (
-        _mp_entropy(list(gx.values()))
-        + _mp_entropy(list(gy.values()))
-        + _mp_entropy(list(gz.values()))
-    ) / 3
-    log_n = _mp_entropy(list(w.values()))
-    dual = _mp_dual_bound(support, (gx, gy, gz), mults)
-    if dual < log_n:
-        dual = log_n
-    return log_v + log_b + (log_n - dual) / 2
+    mults = tuple({k: mp.mpf(v) for k, v in side.items()} for side in mults)
+    marg = Marginals(*marginal_sums(w))
+    log_v, log_b, log_n = bound_terms(w, marg, log_values, num=mp)
+    dual = entropy_dual_bound(support, marg, mults, num=mp)
+    return refined_combination(log_v, log_b, log_n, dual)
 
 
 def certify_table(table: ValueTable) -> CertReport:
@@ -554,23 +511,21 @@ def certify_table(table: ValueTable) -> CertReport:
         reports: list[CertEntryReport] = []
 
         def cert_class(key: ClassKey) -> mp.mpf:
+            # The class structure, not the stored method, picks the path: a
+            # class touching index 0 is merged, any other is recursed, and an
+            # entry labelled otherwise fails.
             if key in certified:
                 return certified[key]
             entry = table.entries.get(key)
-            I, J, K = key.ijk
-            if entry is None or entry.method in {"merge", "matmul-leaf"} or I == 0:
-                n = merged_count(q, key.t, J, K)
-                value = tau * mp.log(n)
+            method = _class_method(key)
+            if method != "recursion":
+                value = merged_value(q, key.t, *key.ijk[1:], tau, num=mp)
+            elif entry is None or entry.alpha is None or entry.dual_multipliers is None:
+                value = mp.ninf
             else:
-                half = key.t // 2
                 inner: dict[Triple, mp.mpf] = {}
-                for child, comp in split_subtensor(key):
-                    if not class_is_realizable(q, half, *child):
-                        continue
-                    if not class_is_realizable(q, half, *comp):
-                        continue
-                    inner[child] = cert_class(ClassKey.make(q, half, *child)) + \
-                        cert_class(ClassKey.make(q, half, *comp))
+                for child, k1, k2 in _realizable_splits(key):
+                    inner[child] = cert_class(k1) + cert_class(k2)
                 value = _certify_distribution_bound(
                     sorted(inner), inner, entry.alpha.weights, entry.dual_multipliers
                 )
@@ -581,7 +536,8 @@ def certify_table(table: ValueTable) -> CertReport:
                         key=tuple(key.ijk),
                         claimed=entry.log_value,
                         certified_value=float(value),
-                        passed=bool(value >= mp.mpf(entry.log_value) - CERT_SLACK),
+                        passed=entry.method == method
+                        and bool(value >= mp.mpf(entry.log_value) - CERT_SLACK),
                     )
                 )
             return value
@@ -645,7 +601,7 @@ def _mults_from_json(data: dict | None):
     if data is None:
         return None
     return tuple(
-        {int(k): float(v) for k, v in data[side].items()} for side in ("x", "y", "z")
+        {int(k): float(v) for k, v in data.get(side, {}).items()} for side in ("x", "y", "z")
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Marginals, SupportDistribution, entropy, marginals
+from .distributions import Marginals, SupportDistribution, bound_terms, marginals, refined_combination
 from .tensor_core import Triple
 
 INNER_ITER_CAP = 100_000
@@ -257,8 +257,9 @@ def solve_problem1(
 def entropy_dual_bound(
     support: Iterable[Triple],
     marg: Marginals,
-    multipliers: tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float]],
-) -> float:
+    multipliers: tuple[Mapping[int, object], Mapping[int, object], Mapping[int, object]],
+    num=math,
+):
     """Certified upper bound on max entropy over D_gamma.
 
     For any side multipliers m, every beta with the given marginals
@@ -266,23 +267,28 @@ def entropy_dual_bound(
     (Gibbs variational inequality).  Soundness does not require the
     multipliers to be optimal, so unconverged IPF output is acceptable.
     Triples touching a zero-mass label carry no feasible mass and are
-    dropped from the partition sum.
+    dropped from the partition sum.  A label of positive mass without a
+    multiplier leaves only the bound ``num.inf``.  ``num`` is the
+    arithmetic: ``math`` for the search, ``mpmath`` for certification.
     """
+    gx, gy, gz = marg.as_tuple()
     mx, my, mz = multipliers
-    terms = []
-    for (i, j, k) in support:
-        if marg.x_marg.get(i, 0.0) <= 0.0 or marg.y_marg.get(j, 0.0) <= 0.0 \
-                or marg.z_marg.get(k, 0.0) <= 0.0:
-            continue
-        terms.append(mx[i] + my[j] + mz[k])
+    for g, m in ((gx, mx), (gy, my), (gz, mz)):
+        if any(p > 0 and lab not in m for lab, p in g.items()):
+            return num.inf
+    terms = [
+        mx[i] + my[j] + mz[k]
+        for (i, j, k) in support
+        if gx.get(i, 0) > 0 and gy.get(j, 0) > 0 and gz.get(k, 0) > 0
+    ]
     if not terms:
         raise InfeasibleMarginalsError("no feasible triple for the marginals", 1.0)
     peak = max(terms)
-    log_z = peak + math.log(math.fsum(math.exp(v - peak) for v in terms))
+    log_z = peak + num.log(num.fsum(num.exp(v - peak) for v in terms))
     dot = (
-        math.fsum(p * mx[i] for i, p in marg.x_marg.items() if p > 0.0)
-        + math.fsum(p * my[j] for j, p in marg.y_marg.items() if p > 0.0)
-        + math.fsum(p * mz[k] for k, p in marg.z_marg.items() if p > 0.0)
+        num.fsum(p * mx[i] for i, p in gx.items() if p > 0)
+        + num.fsum(p * my[j] for j, p in gy.items() if p > 0)
+        + num.fsum(p * mz[k] for k, p in gz.items() if p > 0)
     )
     return log_z - dot
 
@@ -429,15 +435,9 @@ def evaluate_gamma(
     p2 = max_entropy_with_marginals(support, marg)
     dual = entropy_dual_bound(support, marg, p2.multipliers)
     alpha = p1.distribution
-    log_v = math.fsum(p * log_values[t] for t, p in alpha.weights.items() if p > 0.0)
-    log_b = (
-        entropy(marg.x_marg.values())
-        + entropy(marg.y_marg.values())
-        + entropy(marg.z_marg.values())
-    ) / 3.0
-    log_n = entropy(alpha.weights.values())
+    log_v, log_b, log_n = bound_terms(alpha.weights, marg, log_values)
     max_log_bn = max(dual, log_n)
-    bound = log_v + log_b + 0.5 * (log_n - max_log_bn)
+    bound = refined_combination(log_v, log_b, log_n, dual)
     return BoundCandidate(
         heuristic=heuristic,
         gamma=gamma,

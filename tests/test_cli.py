@@ -110,6 +110,48 @@ def test_cache_verify_fails_entry_with_missing_multiplier(capsys, cache_dir):
     assert "1 FAILED" in out
 
 
+def _entry(data, ijk):
+    return next(e for e in data["entries"] if (e["I"], e["J"], e["K"]) == ijk)
+
+
+def _drop_top_x_multipliers(data):
+    del data["top"]["dual_multipliers"]["x"]
+
+
+def _null_alpha(data):
+    _entry(data, (1, 1, 2))["alpha"] = None
+
+
+def _null_multipliers(data):
+    _entry(data, (1, 1, 2))["dual_multipliers"] = None
+
+
+def _relabel_as_merge(data):
+    _entry(data, (1, 1, 2))["method"] = "merge"
+
+
+def _delete_entry(data):
+    data["entries"].remove(_entry(data, (1, 1, 2)))
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_top_x_multipliers,
+    _null_alpha,
+    _null_multipliers,
+    _relabel_as_merge,
+    _delete_entry,
+])
+def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
+    run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")
+    path = next(cache_dir.glob("*.json"))
+    data = json.loads(path.read_text())
+    tamper(data)
+    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    code, out = run(capsys, "cache", "verify")
+    assert code == EXIT_CERT
+    assert "FAILED" in out
+
+
 def test_unknown_heuristic_is_config_error(capsys, cache_dir):
     code, _ = run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8",
                   "--heuristics", "7")

@@ -7,6 +7,8 @@ import pytest
 from laserlab.construction_sim import (
     BlockSupport,
     SalemSpencerSet,
+    _is_prime,
+    _multiset_permutations,
     behrend_set,
     coverage_statistics,
     free_hard_instance,
@@ -16,6 +18,18 @@ from laserlab.construction_sim import (
     random_zero_out,
     simulate_laser_pipeline,
 )
+
+
+def test_multiset_permutations_are_sorted_distinct_permutations():
+    bags = ([], [1], [2, 1, 1], list("abacab"),
+            [(1, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 1), (1, 0, 1)])
+    for bag in bags:
+        assert list(_multiset_permutations(bag)) == sorted(set(itertools.permutations(bag)))
+
+
+def test_is_prime_matches_naive_division():
+    naive = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
+    assert [n for n in range(-3, 500) if _is_prime(n)] == naive
 
 
 def _slow_is_free(elements, M):

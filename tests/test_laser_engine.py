@@ -94,6 +94,12 @@ def test_refined_rejects_beta_below_alpha_entropy():
         refined_bound(TOY, TOY_LV, alpha, math.log(3))
 
 
+def test_refined_rejects_alpha_outside_support_without_log_value():
+    alpha = SupportDistribution({(2, 0, 0): 0.5, (0, 1, 2): 0.5})
+    with pytest.raises(ValueError, match="outside support"):
+        refined_bound(TOY, TOY_LV, alpha, math.log(3))
+
+
 def test_value_bound_rejects_positive_penalty():
     key = ClassKey.make(2, 1, 0, 1, 1)
     with pytest.raises(ValueError):

@@ -1,0 +1,92 @@
+"""Property tests for the shared dual certificate and refined-bound terms.
+
+The float (``math``) and extended-precision (``mpmath``) evaluations run
+the same code, so they must agree; the dual must bound the entropy of the
+max-entropy point of its class for any finite multipliers.
+"""
+
+import itertools
+import math
+
+import mpmath as mp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
+from laserlab.laser_engine import CERT_DPS, _certify_distribution_bound
+from laserlab.solver import entropy_dual_bound, evaluate_gamma, max_entropy_with_marginals
+
+CUBE = list(itertools.product(range(3), repeat=3))
+
+
+@st.composite
+def weighted_supports(draw):
+    """A small support with positive integer weights, normalised."""
+    support = sorted(draw(st.sets(st.sampled_from(CUBE), min_size=1, max_size=6)))
+    counts = draw(st.lists(st.integers(1, 20), min_size=len(support), max_size=len(support)))
+    total = sum(counts)
+    return support, SupportDistribution({t: c / total for t, c in zip(support, counts)})
+
+
+finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+def _multipliers(draw, marg):
+    return tuple(
+        {lab: draw(finite) for lab in side} for side in marg.as_tuple()
+    )
+
+
+def _to_mp(mults):
+    return tuple({k: mp.mpf(v) for k, v in side.items()} for side in mults)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dual_bounds_max_entropy_point_for_any_multipliers(data):
+    support, gamma = data.draw(weighted_supports())
+    marg = marginals(gamma)
+    beta = max_entropy_with_marginals(support, marg).distribution
+    mults = _multipliers(data.draw, marg)
+    dual = entropy_dual_bound(support, marg, mults)
+    assert dual >= entropy(beta.weights.values()) - 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_math_and_mpmath_backends_agree(data):
+    support, gamma = data.draw(weighted_supports())
+    marg = marginals(gamma)
+    mults = _multipliers(data.draw, marg)
+    log_values = {t: data.draw(finite) for t in support}
+    with mp.workdps(CERT_DPS):
+        dual_mp = entropy_dual_bound(support, marg, _to_mp(mults), num=mp)
+        terms_mp = bound_terms(gamma.weights, marg, log_values, num=mp)
+    assert abs(entropy_dual_bound(support, marg, mults) - float(dual_mp)) <= 1e-12
+    for a, b in zip(bound_terms(gamma.weights, marg, log_values), terms_mp):
+        assert abs(a - float(b)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_search_bound_matches_certified_bound(data):
+    support, gamma = data.draw(weighted_supports())
+    log_values = {t: data.draw(finite) for t in support}
+    cand = evaluate_gamma(support, log_values, 0.8, gamma, "h2")
+    with mp.workdps(CERT_DPS):
+        certified = _certify_distribution_bound(
+            support, {t: mp.mpf(v) for t, v in log_values.items()},
+            cand.alpha.weights, cand.dual_multipliers,
+        )
+    # The search takes ln alpha_B and the dual's class from gamma's
+    # marginals, the certifier from alpha's; they differ by the IPF
+    # residual, which moves each marginal term to first order.
+    marg = marginals(gamma)
+    scale = sum(
+        (abs(math.log(p)) + 1) / 3 + abs(m[lab])
+        for side, m in zip(marg.as_tuple(), cand.dual_multipliers)
+        for lab, p in side.items()
+        if p > 0
+    )
+    tol = 1e-12 + scale * cand.kkt_residual
+    assert abs(cand.bound_log - float(certified)) <= tol
