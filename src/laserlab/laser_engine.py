@@ -331,18 +331,11 @@ class LaserEngine:
             vb = self.analyze_class(ClassKey.make(self.q, t, *trip))
             log_values[trip] = vb.log_value
 
-        extras: list[tuple[str, SupportDistribution]] = []
-        if t >= 2 and t % 2 == 0:
-            sub = self.analyze_cw(t // 2)
-            if sub.top.alpha is not None:
-                extras.append(("product", _convolve(sub.top.alpha, support)))
-
         outcome = full_pipeline_gamma(
             support,
             log_values,
             self.tau,
             heuristics=self.config.heuristics_small,
-            extra_gammas=extras,
             max_iter=self.config.heuristic_iter_cap,
         )
         best = outcome.best
@@ -373,18 +366,6 @@ class LaserEngine:
             "seed": self.config.seed,
         }
         return ValueTable(self.q, t, self.tau, dict(self._memo), top, metadata)
-
-
-def _convolve(alpha: SupportDistribution, support_2t: Iterable[Triple]) -> SupportDistribution:
-    """Distribution of the sum of two independent draws from alpha."""
-    allowed = set(support_2t)
-    out: dict[Triple, float] = {}
-    for a, pa in alpha.weights.items():
-        for b, pb in alpha.weights.items():
-            s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            if s in allowed:
-                out[s] = out.get(s, 0.0) + pa * pb
-    return SupportDistribution(out)
 
 
 def analyze_cw(q: int, t: int, tau: float, config: EngineConfig | None = None) -> ValueTable:
@@ -484,8 +465,12 @@ def _certify_distribution_bound(
 
     The stored alpha defines the feasible point; its exact marginals define
     the class, and the stored multipliers give a sound dual upper bound on
-    the class's maximum entropy whatever their quality.
+    the class's maximum entropy whatever their quality.  An alpha with
+    positive weight outside the support certifies nothing: -inf.
     """
+    allowed = set(support)
+    if any(float(v) > 0 and t not in allowed for t, v in alpha_weights.items()):
+        return mp.ninf
     w = {t: mp.mpf(v) for t, v in alpha_weights.items()}
     total = mp.fsum(w.values())
     w = {t: v / total for t, v in w.items()}
@@ -647,7 +632,8 @@ def table_from_json(text: str) -> ValueTable:
     tau = float(doc["tau"])
     entries: dict[ClassKey, ValueBound] = {}
     for e in doc["entries"]:
-        key = ClassKey.make(q, t_for_key(e, t), e["I"], e["J"], e["K"])
+        # Keys at level s have index sum 2s.
+        key = ClassKey.make(q, (e["I"] + e["J"] + e["K"]) // 2, e["I"], e["J"], e["K"])
         entries[key] = ValueBound(
             key=key,
             tau=tau,
@@ -671,7 +657,3 @@ def table_from_json(text: str) -> ValueTable:
     metadata = {k: v for k, v in doc.items() if k not in {"entries", "top"}}
     return ValueTable(q, t, tau, entries, top, metadata)
 
-
-def t_for_key(entry: dict, t: int) -> int:
-    """Level of an entry, inferred from its index sum (keys at level s sum to 2s)."""
-    return (entry["I"] + entry["J"] + entry["K"]) // 2

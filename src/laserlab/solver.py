@@ -89,18 +89,15 @@ class _Arrays:
         )
 
 
-def _log_side_sums(arr: _Arrays, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-label logsumexp of logits on each side."""
-    out = []
-    for idx, n in ((arr.ix, len(arr.x_labels)), (arr.iy, len(arr.y_labels)), (arr.iz, len(arr.z_labels))):
-        peak = np.full(n, -np.inf)
-        np.maximum.at(peak, idx, logits)
-        safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-        acc = np.zeros(n)
-        np.add.at(acc, idx, np.exp(logits - safe_peak[idx]))
-        with np.errstate(divide="ignore"):
-            out.append(np.where(acc > 0, safe_peak + np.log(np.maximum(acc, 1e-300)), -np.inf))
-    return out[0], out[1], out[2]
+def _log_side_sum(idx: np.ndarray, n: int, logits: np.ndarray) -> np.ndarray:
+    """Per-label logsumexp of logits on one side, labels given by idx."""
+    peak = np.full(n, -np.inf)
+    np.maximum.at(peak, idx, logits)
+    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
+    acc = np.zeros(n)
+    np.add.at(acc, idx, np.exp(logits - safe_peak[idx]))
+    with np.errstate(divide="ignore"):
+        return np.where(acc > 0, safe_peak + np.log(np.maximum(acc, 1e-300)), -np.inf)
 
 
 def _marginal_targets(arr: _Arrays, marg: Marginals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,15 +152,13 @@ def _ipf(
         lg = logits()
         if not np.any(np.isfinite(lg)):
             raise InfeasibleMarginalsError("all support triples forced to zero", 1.0)
-        sx, sy, sz = _log_side_sums(arr, lg)
+        sx = _log_side_sum(arr.ix, tx.size, lg)
         with np.errstate(invalid="ignore"):
             mx = np.where(tx > 0, mx + ltx - sx, -np.inf)
-        lg = logits()
-        sx, sy, sz = _log_side_sums(arr, lg)
+        sy = _log_side_sum(arr.iy, ty.size, logits())
         with np.errstate(invalid="ignore"):
             my = np.where(ty > 0, my + lty - sy, -np.inf)
-        lg = logits()
-        sx, sy, sz = _log_side_sums(arr, lg)
+        sz = _log_side_sum(arr.iz, tz.size, logits())
         with np.errstate(invalid="ignore"):
             mz = np.where(tz > 0, mz + ltz - sz, -np.inf)
 
@@ -457,15 +452,13 @@ def full_pipeline_gamma(
     log_values: Mapping[Triple, float],
     tau: float,
     heuristics: Sequence[int] = (2,),
-    extra_gammas: Sequence[tuple[str, SupportDistribution]] = (),
     max_iter: int = INNER_ITER_CAP,
 ) -> PipelineOutcome:
     """Search for the best refined bound over candidate marginal classes.
 
-    Candidates come from the requested heuristics, any caller-supplied
-    distributions, and always a point mass on the best single triple (a
-    valid zeroing-out bound that keeps the pipeline total even when every
-    heuristic fails).
+    Candidates are the classes found by the requested heuristics and
+    always a point mass on the best single triple (a valid zeroing-out
+    bound that keeps the pipeline total even when every heuristic fails).
     """
     trips = sorted(support)
     candidates: list[BoundCandidate] = []
@@ -481,7 +474,6 @@ def full_pipeline_gamma(
             gammas.append((f"h{kind}", res.distribution))
         except Exception as exc:  # noqa: BLE001
             failures.append(f"h{kind}: {exc}")
-    gammas.extend(extra_gammas)
 
     for name, gamma in gammas:
         try:

@@ -134,12 +134,17 @@ def _delete_entry(data):
     data["entries"].remove(_entry(data, (1, 1, 2)))
 
 
+def _alpha_triple_outside_support(data):
+    _entry(data, (1, 1, 2))["alpha"][0].update(i=2, j=2, k=0)
+
+
 @pytest.mark.parametrize("tamper", [
     _drop_top_x_multipliers,
     _null_alpha,
     _null_multipliers,
     _relabel_as_merge,
     _delete_entry,
+    _alpha_triple_outside_support,
 ])
 def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
     run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")

@@ -73,6 +73,12 @@ def test_behrend_respects_floor_and_cache():
     A = behrend_set(257)
     assert A.size >= 257 ** 0.6
     assert behrend_set(257) is A
+    # Criterion 9 stops at M = 500; the escalation bound is sized for
+    # every M <= 600.
+    for M in range(501, 601):
+        B = behrend_set(M)
+        assert B.is_valid(), M
+        assert B.size >= M ** 0.6, (M, B.size)
 
 
 def test_zero_out_toy_exact():
