@@ -10,7 +10,8 @@ The package is organized around six parts:
   proportional fitting), the trade-off program on a marginal class, and
   the heuristic searches over the full simplex.
 - ``laser_engine``: the refined value bound, recursive analysis of CW
-  powers with merging, Schonhage's inequality and the omega bisection.
+  powers with merging, Schonhage's inequality and the regula-falsi
+  search for the omega threshold.
 - ``construction_sim``: executable versions of the probabilistic
   constructions (progression-free sets, randomized diagonalization, the
   block-level hashing pipeline).

@@ -130,12 +130,14 @@ def cmd_omega(args) -> int:
         "omega": decimal_str(result.omega),
         "tolerance": decimal_str(result.tol),
         "certified": result.certified,
+        "probes": result.probes,
         "cache": str(cache_path),
         "settings": _settings_dict(config),
     }
     _emit(args, payload, [
         f"omega <= {result.omega:.7f}  (tau* = {result.tau_star:.9f}, tol {result.tol:g})",
         f"certified: {result.certified}",
+        f"probes: {result.probes}",
         f"cache: {cache_path}",
     ])
     print(f"wall time: {elapsed:.1f}s", file=sys.stderr)
@@ -327,12 +329,14 @@ def cmd_cache_verify(args) -> int:
                 for e in cert.entries if not e.passed
             ],
             "all_passed": cert.all_passed,
+            "omega_certified": decimal_str(3.0 * table.tau) if cert.clears_threshold else None,
         })
         all_ok = all_ok and cert.all_passed
     payload = {"command": "cache.verify", "reports": reports, "all_passed": all_ok}
     lines = [
         f"{r['file']}: {r['entries']} entries, "
         + ("all pass" if r["all_passed"] else f"{len(r['failed'])} FAILED")
+        + (f", omega <= {float(r['omega_certified']):.9f}" if r["omega_certified"] else "")
         for r in reports
     ] or ["(empty cache)"]
     _emit(args, payload, lines)
@@ -349,10 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_omega = sub.add_parser("omega", parents=[common], help="bisect tau and report an omega upper bound")
+    p_omega = sub.add_parser(
+        "omega", parents=[common], help="find tau* by regula falsi and report an omega upper bound"
+    )
     p_omega.add_argument("--q", type=int, required=True)
     p_omega.add_argument("--t", type=int, required=True)
-    p_omega.add_argument("--tol", type=float, default=1e-6)
+    p_omega.add_argument("--tol", type=float, default=1e-9)
     p_omega.add_argument("--heuristics", type=int, nargs="+")
     p_omega.add_argument("--iter-cap", type=int)
     p_omega.add_argument("--cache")

@@ -373,12 +373,19 @@ def greedy_hard_instance(n: int, m: int, seed: int = 0) -> HardInstance:
 
     The tracked quantity is the union-bound estimate of how many target-size
     subsets still avoid every chosen triple; the loop stops when it drops
-    below 1 or the m*n triple budget is spent.
+    below 1 or the m*n triple budget is spent.  For m <= log^2 n the target
+    size is n itself, every triple covers it and the count falls to -inf
+    after one triple; that case warns.
     """
     if n < 64:
         raise ValueError("n must be >= 64 for the cover-count argument to apply")
     rng = np.random.default_rng(seed)
     target = min(n, math.ceil(n * math.log(n) / math.sqrt(m)))
+    if target == n:
+        warnings.warn(
+            f"(n={n}, m={m}) outside the analyzed regime log^2 n < m: the target size is n",
+            stacklevel=2,
+        )
     budget = m * n
     p3 = (target * (target - 1) * (target - 2)) / (n * (n - 1) * (n - 2))
     log_remaining = math.lgamma(n + 1) - math.lgamma(target + 1) - math.lgamma(n - target + 1)

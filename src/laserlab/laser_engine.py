@@ -10,8 +10,8 @@ prior-work bound carries the full ratio alpha_N / max beta_N instead of its
 square root.  Per-class values come from a recursion that halves t, with
 classes touching a zero index merged into a single matrix multiplication
 tensor.  Feasibility of V_tau >= (q+2)^t at a given tau implies
-omega <= 3 tau; the threshold is located by bisection and re-verified in
-extended precision.
+omega <= 3 tau; the threshold is located by regula falsi and re-verified
+in extended precision.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ class OmegaResult:
     omega: float
     tol: float
     certified: bool
+    probes: int
 
     def __post_init__(self) -> None:
         if not (2.0 - 1e-9 <= self.omega <= 3.0 + 1e-9):
@@ -404,39 +405,62 @@ def schonhage_tau(shapes: Sequence[tuple[int, int, int]], r: float) -> float:
 def omega_bound(
     q: int,
     t: int,
-    tol: float = 1e-6,
+    tol: float = 1e-9,
     config: EngineConfig | None = None,
 ) -> tuple[OmegaResult, ValueTable]:
-    """Bisection on tau for V_tau(CW_q^t) >= (q+2)^t, reported one-sided safe.
+    """Regula falsi on tau for V_tau(CW_q^t) >= (q+2)^t, reported one-sided safe.
 
-    The returned tau* is the smallest tau observed feasible (never an
-    untested midpoint).  The table of that probe is returned and re-verified
-    in extended precision; `certified` reflects that recheck.
+    The margin m(tau) = log V_tau - (t ln(q+2) + 1e-9) is close to linear
+    near its root, so the Illinois variant of regula falsi brackets the
+    root from [2/3, 1] in a handful of probes.  Each probe lies at least
+    tol/2 inside the bracket, so once a probe lands near the root the
+    next one closes the bracket on the other side.  The search stops when
+    the bracket is at most tol wide.  The returned tau* is the smallest tau
+    observed feasible (never an untested point).  The table of that probe
+    is returned and re-verified in extended precision; `certified`
+    reflects that recheck.
     """
     if tol < 1e-9:
         raise ValueError("tolerance below 1e-9 is not supported")
     threshold = t * math.log(q + 2)
     config = config or EngineConfig()
+    probes = 0
 
-    def feasible(tau: float) -> ValueTable | None:
+    def margin(tau: float) -> tuple[float, ValueTable]:
+        nonlocal probes
+        probes += 1
         table = LaserEngine(q, tau, config).analyze_cw(t)
-        return table if table.top.log_value >= threshold + 1e-9 else None
+        return table.top.log_value - (threshold + 1e-9), table
 
     hi = 1.0
-    table_hi = feasible(hi)
-    if table_hi is None:
+    m_hi, table_hi = margin(hi)
+    if m_hi < 0:
         raise ValueError(f"infeasible even at tau = 1 for q={q}, t={t}")
     lo = 2.0 / 3.0
+    m_lo, table_lo = margin(lo)
+    if m_lo >= 0:
+        hi, table_hi = lo, table_lo
+    # Illinois: when one end is kept twice in a row, halve its margin so
+    # the next point moves toward it and the bracket closes from both sides.
+    kept = None
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        table = feasible(mid)
-        if table is None:
-            lo = mid
+        tau = hi - m_hi * (hi - lo) / (m_hi - m_lo)
+        tau = min(max(tau, lo + 0.5 * tol), hi - 0.5 * tol)
+        m, table = margin(tau)
+        if m >= 0:
+            hi, m_hi, table_hi = tau, m, table
+            if kept == "lo":
+                m_lo *= 0.5
+            kept = "lo"
         else:
-            hi, table_hi = mid, table
-    cert = certify_table(table_hi)
-    certified = cert.all_passed and cert.top_certified_value >= mp.mpf(t) * mp.log(q + 2)
-    result = OmegaResult(q=q, t=t, tau_star=hi, omega=3.0 * hi, tol=tol, certified=bool(certified))
+            lo, m_lo = tau, m
+            if kept == "hi":
+                m_hi *= 0.5
+            kept = "hi"
+    certified = certify_table(table_hi).clears_threshold
+    result = OmegaResult(
+        q=q, t=t, tau_star=hi, omega=3.0 * hi, tol=tol, certified=certified, probes=probes
+    )
     return result, table_hi
 
 
@@ -450,9 +474,13 @@ class CertEntryReport:
 
 @dataclass(frozen=True)
 class CertReport:
+    """``clears_threshold``: every entry passed and the certified top value
+    is at least t ln(q+2), which proves omega <= 3 tau."""
+
     entries: tuple[CertEntryReport, ...]
     top_certified_value: object
     all_passed: bool
+    clears_threshold: bool
 
 
 def _certify_distribution_bound(
@@ -549,10 +577,12 @@ def certify_table(table: ValueTable) -> CertReport:
                 passed=bool(top_value >= mp.mpf(top.log_value) - CERT_SLACK),
             )
         )
+        all_passed = all(r.passed for r in reports)
         return CertReport(
             entries=tuple(reports),
             top_certified_value=top_value,
-            all_passed=all(r.passed for r in reports),
+            all_passed=all_passed,
+            clears_threshold=all_passed and bool(top_value >= table.t * mp.log(q + 2)),
         )
 
 

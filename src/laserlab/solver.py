@@ -68,20 +68,32 @@ class _Arrays:
         self.ix = np.array([xi[i] for (i, _, _) in self.triples])
         self.iy = np.array([yi[j] for (_, j, _) in self.triples])
         self.iz = np.array([zi[k] for (_, _, k) in self.triples])
+        nx, ny, n = len(self.x_labels), len(self.y_labels), len(self.triples)
+        # Every (side, label) pair gets one offset label: x, then y, then z.
+        self.labels = np.concatenate((self.ix, self.iy + nx, self.iz + nx + ny))
+        self.iy_off, self.iz_off = self.labels[n:2 * n], self.labels[2 * n:]
+        self.splits = (nx, nx + ny)
+        self.n_labels = nx + ny + len(self.z_labels)
         if log_values is not None:
             order = sorted(range(len(support)), key=lambda n: support[n])
             self.L = np.array([log_values[n] for n in order], dtype=float)
         else:
             self.L = np.zeros(len(self.triples))
 
+    def label_sums(self, w: np.ndarray) -> np.ndarray:
+        """The side sums of w for all three sides, x then y then z.
+
+        bincount adds in index order from zero, as np.add.at does, so every
+        sum has the same bits as a per-side np.add.at.
+        """
+        return np.bincount(self.labels, weights=np.concatenate((w, w, w)), minlength=self.n_labels)
+
+    def split(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b = self.splits
+        return sums[:a], sums[a:b], sums[b:]
+
     def side_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mx = np.zeros(len(self.x_labels))
-        my = np.zeros(len(self.y_labels))
-        mz = np.zeros(len(self.z_labels))
-        np.add.at(mx, self.ix, w)
-        np.add.at(my, self.iy, w)
-        np.add.at(mz, self.iz, w)
-        return mx, my, mz
+        return self.split(self.label_sums(w))
 
     def to_distribution(self, w: np.ndarray) -> SupportDistribution:
         return SupportDistribution(
@@ -293,36 +305,36 @@ def _np_entropy(w: np.ndarray) -> float:
     return float(-np.dot(w, np.log(w)))
 
 
-def _h2_gradient(arr: _Arrays, w: np.ndarray) -> np.ndarray:
-    """Gradient of sum(gamma L) + (1/3) sum of marginal entropies."""
-    sx, sy, sz = arr.side_sums(w)
-    with np.errstate(divide="ignore"):
-        lx, ly, lz = np.log(np.maximum(sx, 1e-300)), np.log(np.maximum(sy, 1e-300)), np.log(np.maximum(sz, 1e-300))
-    return arr.L - (lx[arr.ix] + ly[arr.iy] + lz[arr.iz]) / 3.0 - 1.0
+def _h2_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Gradient of sum(gamma L) + (1/3) sum of marginal entropies.
+
+    ``sums`` are w's label sums; the 1e-300 floor keeps every log finite.
+    """
+    log_sums = np.log(np.maximum(sums, 1e-300))
+    return arr.L - (log_sums[arr.ix] + log_sums[arr.iy_off] + log_sums[arr.iz_off]) / 3.0 - 1.0
 
 
-def _h2_objective(arr: _Arrays, w: np.ndarray) -> float:
-    sx, sy, sz = arr.side_sums(w)
+def _h2_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> float:
+    sx, sy, sz = arr.split(sums)
     return float(np.dot(w, arr.L)) + (
         _np_entropy(sx) + _np_entropy(sy) + _np_entropy(sz)
     ) / 3.0
 
 
-def _h4_gradient(arr: _Arrays, w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        lw = np.log(np.maximum(w, 1e-300))
-    return _h2_gradient(arr, w) - 0.5 * (lw + 1.0)
+def _h4_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    lw = np.log(np.maximum(w, 1e-300))
+    return _h2_gradient(arr, w, sums) - 0.5 * (lw + 1.0)
 
 
-def _h4_objective(arr: _Arrays, w: np.ndarray) -> float:
-    return _h2_objective(arr, w) + 0.5 * _np_entropy(w)
+def _h4_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> float:
+    return _h2_objective(arr, w, sums) + 0.5 * _np_entropy(w)
 
 
 def _eg_ascent(
     arr: _Arrays,
     w0: np.ndarray,
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[_Arrays, np.ndarray, np.ndarray], float],
+    gradient: Callable[[_Arrays, np.ndarray, np.ndarray], np.ndarray],
     max_iter: int = INNER_ITER_CAP,
     target: float = KKT_TARGET,
 ) -> tuple[np.ndarray, float, int]:
@@ -330,25 +342,31 @@ def _eg_ascent(
 
     Returns (point, kkt gap, iterations).  The gap is max_S g - <w, g>,
     which for a concave objective upper-bounds the remaining improvement.
+    Label sums are computed once per point and shared by the objective and
+    the gradient.
     """
     w = w0 / w0.sum()
     step = 0.5
-    f = objective(w)
+    sums = arr.label_sums(w)
+    f = objective(arr, w, sums)
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        g = gradient(w)
-        gap = max(float(np.max(g) - np.dot(w, g)), 0.0)
+        g = gradient(arr, w, sums)
+        g_max = g.max()
+        gap = max(float(g_max - np.dot(w, g)), 0.0)
         if gap <= target:
             break
-        shifted = g - np.max(g)
+        shifted = g - g_max
+        log_w = np.log(np.maximum(w, 1e-300))
         trial_step = step
         for _ in range(60):
-            logw = np.log(np.maximum(w, 1e-300)) + trial_step * shifted
+            logw = log_w + trial_step * shifted
             logw -= logw.max()
             cand = np.exp(logw)
             cand /= cand.sum()
-            fc = objective(cand)
+            cand_sums = arr.label_sums(cand)
+            fc = objective(arr, cand, cand_sums)
             if fc >= f - 1e-15:
                 break
             trial_step *= 0.5
@@ -358,7 +376,7 @@ def _eg_ascent(
             step = min(trial_step * 1.3, 50.0)
         else:
             step = trial_step
-        w, f = cand, fc
+        w, f, sums = cand, fc, cand_sums
     return w, gap, it
 
 
@@ -383,10 +401,11 @@ def heuristic_gamma(
     trips = sorted(support)
     arr = _Arrays(trips, [log_values[t] for t in trips])
     w, gap, it = _eg_ascent(
-        arr, np.full(len(trips), 1.0 / len(trips)),
-        lambda v: objective(arr, v), lambda v: gradient(arr, v), max_iter=max_iter,
+        arr, np.full(len(trips), 1.0 / len(trips)), objective, gradient, max_iter=max_iter,
     )
-    return SolverResult(arr.to_distribution(w), objective(arr, w), gap, it, gap <= KKT_TARGET)
+    return SolverResult(
+        arr.to_distribution(w), objective(arr, w, arr.label_sums(w)), gap, it, gap <= KKT_TARGET
+    )
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,21 @@ def test_analyze_writes_cache_and_verify_passes(capsys, cache_dir):
     assert "all pass" in out
 
 
+def test_cache_verify_rederives_omega(capsys, cache_dir):
+    code, out = run(capsys, "omega", "--q", "6", "--t", "1", "--format", "json")
+    assert code == EXIT_OK
+    omega = json.loads(out)
+    assert omega["probes"] <= 10
+    run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.79")
+    code, out = run(capsys, "cache", "verify", "--format", "json")
+    assert code == EXIT_OK
+    reports = {r["file"]: r for r in json.loads(out)["reports"]}
+    assert reports[omega["cache"]]["omega_certified"] == omega["omega"]
+    # tau = 0.79 is infeasible at t = 1: the table certifies no omega.
+    (infeasible,) = (r for f, r in reports.items() if f != omega["cache"])
+    assert infeasible["all_passed"] and infeasible["omega_certified"] is None
+
+
 def test_cache_verify_catches_tampering(capsys, cache_dir):
     run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
     path = next(cache_dir.glob("*.json"))

@@ -114,6 +114,20 @@ def test_greedy_hard_instance_requires_min_n():
         greedy_hard_instance(32, 2)
 
 
+def test_greedy_hard_instance_warns_outside_regime():
+    # m <= log^2 n: the target size is n and the cover count is degenerate.
+    with pytest.warns(UserWarning, match="outside the analyzed regime"):
+        inst = greedy_hard_instance(128, 3, seed=0)
+    assert inst.target_size == 128
+
+
+def test_greedy_hard_instance_is_quiet_inside_regime():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = greedy_hard_instance(128, 25, seed=0)
+    assert inst.target_size < 128
+
+
 def test_free_hard_instance_is_free():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

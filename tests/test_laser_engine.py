@@ -165,16 +165,38 @@ def test_certify_catches_tampering():
     assert not cert.all_passed
 
 
-@pytest.mark.parametrize("q, t, tau_star", [
-    (6, 1, "7.9573059082031250000000000000000000e-1"),
-    (6, 2, "7.9182624816894531250000000000000000e-1"),
+@pytest.mark.parametrize("q, t, bisection_tau_star, tau_star", [
+    (6, 1, "7.9573059082031250000000000000000000e-1",
+     "7.9572997017517477225112543237628415e-1"),
+    (6, 2, "7.9182624816894531250000000000000000e-1",
+     "7.9182563835466845958421799878124148e-1"),
 ])
-def test_omega_bound_pins_tau_star_and_keeps_last_probe(q, t, tau_star):
+def test_omega_bound_pins_tau_star_and_keeps_last_probe(q, t, bisection_tau_star, tau_star):
     result, table = omega_bound(q, t)
     assert decimal_str(result.tau_star) == tau_star
+    # Regula falsi at tol 1e-9 finds a lower feasible tau than bisection
+    # at tol 1e-6 did.
+    assert result.tau_star < float(bisection_tau_star)
     # The returned table is the last feasible probe's, not a rebuild.
     assert table.tau == result.tau_star
     assert result.certified
+
+
+@pytest.mark.parametrize("q, t", [(6, 1), (6, 2)])
+def test_omega_bound_needs_few_probes(q, t):
+    result, _ = omega_bound(q, t)
+    assert result.probes <= 10
+
+
+@pytest.mark.parametrize("q, t, tau, log_value, heuristic", [
+    (6, 2, 0.8, "4.1873825833820603747881250455975533e+0", "h2"),
+    (5, 4, 0.791, "7.7837779406898990330887500022072345e+0", "h2+sym"),
+])
+def test_analyze_cw_top_value_is_pinned(q, t, tau, log_value, heuristic):
+    # Pins the ascent kernel: a change to its arithmetic moves these bits.
+    top = analyze_cw(q, t, tau).top
+    assert decimal_str(top.log_value) == log_value
+    assert top.heuristic == heuristic
 
 
 def test_engine_config_rejects_unknown_heuristics():

@@ -1,4 +1,5 @@
-"""Property tests for the shared dual certificate and refined-bound terms.
+"""Property tests for the shared dual certificate, the refined-bound terms
+and the solver's side sums.
 
 The float (``math``) and extended-precision (``mpmath``) evaluations run
 the same code, so they must agree; the dual must bound the entropy of the
@@ -9,12 +10,15 @@ import itertools
 import math
 
 import mpmath as mp
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
 from laserlab.laser_engine import CERT_DPS, _certify_distribution_bound
-from laserlab.solver import entropy_dual_bound, evaluate_gamma, max_entropy_with_marginals
+from laserlab.solver import (
+    _Arrays, entropy_dual_bound, evaluate_gamma, max_entropy_with_marginals,
+)
 
 CUBE = list(itertools.product(range(3), repeat=3))
 
@@ -90,3 +94,23 @@ def test_search_bound_matches_certified_bound(data):
     )
     tol = 1e-12 + scale * cand.kkt_residual
     assert abs(cand.bound_log - float(certified)) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_side_sums_match_add_at_bit_for_bit(data):
+    support = sorted(data.draw(st.sets(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+        min_size=1, max_size=45,
+    )))
+    w = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=True),
+        min_size=len(support), max_size=len(support),
+    )))
+    arr = _Arrays(support)
+    for idx, labels, got in zip((arr.ix, arr.iy, arr.iz),
+                                (arr.x_labels, arr.y_labels, arr.z_labels),
+                                arr.side_sums(w)):
+        want = np.zeros(len(labels))
+        np.add.at(want, idx, w)
+        assert got.tobytes() == want.tobytes()
