@@ -195,11 +195,7 @@ def cmd_simulate_zero_out(args) -> int:
     sizes = []
     bound = None
     for s in range(args.seeds):
-        triples = set()
-        while len(triples) < args.m * args.n:
-            cand = rng.choice(args.n, size=3, replace=False)
-            triples.add(tuple(int(x) for x in cand))
-        bs = cs.BlockSupport(args.n, frozenset(triples))
+        bs = cs.random_block_support(args.n, args.m, rng)
         zr = cs.random_zero_out(bs, trials=1, seed=args.seed * 100003 + s)
         bound = zr.bound
         sizes.append(len(zr.kept))

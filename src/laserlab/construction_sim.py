@@ -279,15 +279,42 @@ class BlockSupport:
     off_diag: frozenset[Triple]
 
     def __post_init__(self) -> None:
+        n = self.n
         for (i, j, k) in self.off_diag:
-            if len({i, j, k}) != 3:
+            if i == j or j == k or i == k:
                 raise ValueError(f"off-diagonal triple {(i, j, k)} has repeated coordinates")
-            if not all(0 <= v < self.n for v in (i, j, k)):
-                raise ValueError(f"triple {(i, j, k)} outside [0, {self.n})")
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise ValueError(f"triple {(i, j, k)} outside [0, {n})")
 
     @property
     def m(self) -> float:
         return len(self.off_diag) / self.n if self.n else 0.0
+
+
+def random_block_support(n: int, m: int, rng: np.random.Generator) -> BlockSupport:
+    """A uniformly random set of m*n ordered triples with distinct coordinates in [0, n).
+
+    Rows are drawn uniformly from [0, n)^3, rows with a repeated coordinate
+    are rejected, and the first m*n distinct rows in draw order are kept;
+    more rows are drawn while fewer remain.
+    """
+    size = m * n
+    if n < 3 or m < 0:
+        raise ValueError(f"need n >= 3 and m >= 0, got n={n} m={m}")
+    if size > n * (n - 1) * (n - 2):
+        raise ValueError(f"m*n = {size} exceeds the n(n-1)(n-2) triples with distinct coordinates")
+    batch = 2 * size + 16
+    drawn = np.empty((0, 3), dtype=np.int64)
+    while True:
+        rows = rng.integers(0, n, size=(batch, 3))
+        i, j, k = rows.T
+        drawn = np.concatenate((drawn, rows[(i != j) & (j != k) & (i != k)]))
+        codes = (drawn[:, 0] * n + drawn[:, 1]) * n + drawn[:, 2]
+        _, first = np.unique(codes, return_index=True)
+        if first.size >= size:
+            break
+    kept = drawn[np.sort(first)[:size]]
+    return BlockSupport(n, frozenset(map(tuple, kept.tolist())))
 
 
 @dataclass(frozen=True)

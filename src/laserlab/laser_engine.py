@@ -9,7 +9,14 @@ where D_alpha is the set of distributions sharing alpha's marginals.  The
 prior-work bound carries the full ratio alpha_N / max beta_N instead of its
 square root.  Per-class values come from a recursion that halves t, with
 classes touching a zero index merged into a single matrix multiplication
-tensor.  Feasibility of V_tau >= (q+2)^t at a given tau implies
+tensor.  The engine collects the classes reachable from the ones asked
+for and fills them bottom-up, one level at a time: a class at level s
+needs only classes at level s/2, so the classes of a level are
+independent.  From level 8 up, with more than one usable CPU, a level's
+classes run on a fork pool with one worker per CPU, which ends with the
+level; below that every class ascent takes milliseconds and the classes
+run in turn.  The search is deterministic, so the tables are the same
+bits either way.  Feasibility of V_tau >= (q+2)^t at a given tau implies
 omega <= 3 tau; the threshold is located by regula falsi and re-verified
 in extended precision.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +37,8 @@ from .distributions import (
     refined_combination, symmetrize,
 )
 from .solver import (
-    HEURISTICS, InfeasibleMarginalsError, entropy_dual_bound, evaluate_gamma, full_pipeline_gamma,
+    HEURISTICS, BoundCandidate, InfeasibleMarginalsError, entropy_dual_bound, evaluate_gamma,
+    full_pipeline_gamma,
 )
 from .tensor_core import ClassKey, Triple, split_subtensor
 
@@ -262,8 +271,68 @@ class EngineConfig:
             )
 
 
+def _pipeline_job(job: tuple[dict[Triple, float], float, tuple[int, ...], int]) -> BoundCandidate:
+    """The pipeline on one recursion class: its best candidate.  Module-level,
+    so that a fork pool can run it."""
+    inner, tau, heuristics, max_iter = job
+    return full_pipeline_gamma(
+        sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter
+    ).best
+
+
+def _penalty_log(best: BoundCandidate) -> float:
+    return min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N))
+
+
+def _recursion_bound(key: ClassKey, tau: float, best: BoundCandidate) -> ValueBound:
+    return ValueBound(
+        key=key,
+        tau=tau,
+        log_value=best.bound_log,
+        method="recursion",
+        heuristic=best.heuristic,
+        alpha=best.alpha,
+        gamma=best.gamma,
+        dual_multipliers=best.dual_multipliers,
+        penalty_log=_penalty_log(best),
+    )
+
+
+def _level_map(fn, jobs: list, level: int) -> list:
+    """map(fn, jobs) for the classes of one recursion level.
+
+    From level 8 up, with more than one usable CPU, the jobs run on a fork
+    pool, largest support first; below that a class ascent takes
+    milliseconds and a fork costs more than it saves.  The pipeline is
+    deterministic, so the results are the same bits either way.
+    """
+    workers = len(os.sched_getaffinity(0))
+    if level < 8 or workers < 2 or len(jobs) < 2:
+        return list(map(fn, jobs))
+    # Imported here only: the serial path never pays for them.  Fork, not
+    # spawn: workers inherit the loaded modules, and callers need no
+    # `if __name__ == "__main__"` guard.  The only other threads at fork
+    # time are OpenBLAS's, which registers fork handlers for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    order = sorted(range(len(jobs)), key=lambda n: -len(jobs[n][0]))
+    results: list = [None] * len(jobs)
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(jobs)), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        for n, out in zip(order, pool.map(fn, [jobs[n] for n in order])):
+            results[n] = out
+    return results
+
+
 class LaserEngine:
-    """Memoized recursive analysis of CW_q^t at a fixed tau."""
+    """Memoized recursive analysis of CW_q^t at a fixed tau.
+
+    Classes are filled level by level: a class at level s depends only on
+    classes at level s/2, so all classes of one level are independent once
+    the level below is in the memo.
+    """
 
     def __init__(self, q: int, tau: float, config: EngineConfig | None = None):
         if not (2.0 / 3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
@@ -277,60 +346,66 @@ class LaserEngine:
         key = ClassKey.make(key.q, key.t, *key.ijk)
         if key.q != self.q:
             raise ValueError("class q does not match engine q")
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        I, J, K = key.ijk
-        if not class_is_realizable(self.q, key.t, I, J, K):
-            raise ValueError(f"class {key} is the zero tensor")
-        method = _class_method(key)
-        if method != "recursion":
-            bound = ValueBound(
-                key=key,
-                tau=self.tau,
-                log_value=merged_value(self.q, key.t, J, K, self.tau),
-                method=method,
-            )
-        else:
-            bound = self._analyze_by_recursion(key)
-        self._memo[key] = bound
-        return bound
+        self._fill([key])
+        return self._memo[key]
 
-    def _analyze_by_recursion(self, key: ClassKey) -> ValueBound:
-        if key.t % 2:
-            raise ValueError(f"cannot split odd t in {key}")
-        inner: dict[Triple, float] = {}
-        for child, k1, k2 in _realizable_splits(key):
-            inner[child] = self.analyze_class(k1).log_value + self.analyze_class(k2).log_value
-        if not inner:
-            raise ValueError(f"class {key} has no realizable split")
-        outcome = full_pipeline_gamma(
-            sorted(inner),
-            inner,
-            self.tau,
-            heuristics=self.config.heuristics_small,
-            max_iter=self.config.heuristic_iter_cap,
-        )
-        best = outcome.best
-        return ValueBound(
-            key=key,
-            tau=self.tau,
-            log_value=best.bound_log,
-            method="recursion",
-            heuristic=best.heuristic,
-            alpha=best.alpha,
-            gamma=best.gamma,
-            dual_multipliers=best.dual_multipliers,
-            penalty_log=min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N)),
-        )
+    def _fill(self, keys: Iterable[ClassKey]) -> None:
+        """Value every class reachable from keys, bottom-up one level at a time."""
+        levels: dict[int, list[ClassKey]] = {}
+        inners: dict[ClassKey, list[tuple[Triple, ClassKey, ClassKey]]] = {}
+        seen = set(keys)
+        pending = list(seen)
+        while pending:
+            key = pending.pop()
+            if key in self._memo:
+                continue
+            if not class_is_realizable(self.q, key.t, *key.ijk):
+                raise ValueError(f"class {key} is the zero tensor")
+            method = _class_method(key)
+            if method != "recursion":
+                self._memo[key] = ValueBound(
+                    key=key,
+                    tau=self.tau,
+                    log_value=merged_value(self.q, key.t, *key.ijk[1:], self.tau),
+                    method=method,
+                )
+                continue
+            if key.t % 2:
+                raise ValueError(f"cannot split odd t in {key}")
+            splits = list(_realizable_splits(key))
+            if not splits:
+                raise ValueError(f"class {key} has no realizable split")
+            inners[key] = splits
+            levels.setdefault(key.t, []).append(key)
+            for _, k1, k2 in splits:
+                for child in (k1, k2):
+                    if child not in seen:
+                        seen.add(child)
+                        pending.append(child)
+        cfg = self.config
+        for level in sorted(levels):
+            batch = sorted(levels[level])
+            jobs = [
+                (
+                    {
+                        child: self._memo[k1].log_value + self._memo[k2].log_value
+                        for child, k1, k2 in inners[key]
+                    },
+                    self.tau,
+                    cfg.heuristics_small,
+                    cfg.heuristic_iter_cap,
+                )
+                for key in batch
+            ]
+            for key, best in zip(batch, _level_map(_pipeline_job, jobs, level)):
+                self._memo[key] = _recursion_bound(key, self.tau, best)
 
     def analyze_cw(self, t: int) -> ValueTable:
         """Outer analysis of CW_q^t: per-class values plus the top pipeline."""
         support = top_support(self.q, t)
-        log_values: dict[Triple, float] = {}
-        for trip in support:
-            vb = self.analyze_class(ClassKey.make(self.q, t, *trip))
-            log_values[trip] = vb.log_value
+        keys = [ClassKey.make(self.q, t, *trip) for trip in support]
+        self._fill(keys)
+        log_values = {trip: self._memo[key].log_value for trip, key in zip(support, keys)}
 
         outcome = full_pipeline_gamma(
             support,
@@ -355,7 +430,7 @@ class LaserEngine:
             alpha=best.alpha,
             gamma=best.gamma,
             dual_multipliers=best.dual_multipliers,
-            penalty_log=min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N)),
+            penalty_log=_penalty_log(best),
         )
         metadata = {
             "schema_version": SCHEMA_VERSION,

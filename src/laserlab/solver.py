@@ -305,36 +305,45 @@ def _np_entropy(w: np.ndarray) -> float:
     return float(-np.dot(w, np.log(w)))
 
 
-def _h2_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _h2_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     """Gradient of sum(gamma L) + (1/3) sum of marginal entropies.
 
-    ``sums`` are w's label sums; the 1e-300 floor keeps every log finite.
+    ``sums`` are w's label sums and ``log_sums`` their floored logs (see
+    ``_floored_log``).
     """
-    log_sums = np.log(np.maximum(sums, 1e-300))
     return arr.L - (log_sums[arr.ix] + log_sums[arr.iy_off] + log_sums[arr.iz_off]) / 3.0 - 1.0
 
 
-def _h2_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> float:
+def _h2_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray, log_sums: np.ndarray) -> float:
     sx, sy, sz = arr.split(sums)
-    return float(np.dot(w, arr.L)) + (
-        _np_entropy(sx) + _np_entropy(sy) + _np_entropy(sz)
-    ) / 3.0
+    if sums.min() >= 1e-300:
+        # The floor is inactive, so log_sums are the logs _np_entropy takes.
+        lx, ly, lz = arr.split(log_sums)
+        entropies = -float(np.dot(sx, lx)) - float(np.dot(sy, ly)) - float(np.dot(sz, lz))
+    else:
+        entropies = _np_entropy(sx) + _np_entropy(sy) + _np_entropy(sz)
+    return float(np.dot(w, arr.L)) + entropies / 3.0
 
 
-def _h4_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+def _h4_gradient(arr: _Arrays, w: np.ndarray, sums: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     lw = np.log(np.maximum(w, 1e-300))
-    return _h2_gradient(arr, w, sums) - 0.5 * (lw + 1.0)
+    return _h2_gradient(arr, w, sums, log_sums) - 0.5 * (lw + 1.0)
 
 
-def _h4_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray) -> float:
-    return _h2_objective(arr, w, sums) + 0.5 * _np_entropy(w)
+def _h4_objective(arr: _Arrays, w: np.ndarray, sums: np.ndarray, log_sums: np.ndarray) -> float:
+    return _h2_objective(arr, w, sums, log_sums) + 0.5 * _np_entropy(w)
+
+
+def _floored_log(sums: np.ndarray) -> np.ndarray:
+    """log of the label sums; the 1e-300 floor keeps every log finite."""
+    return np.log(np.maximum(sums, 1e-300))
 
 
 def _eg_ascent(
     arr: _Arrays,
     w0: np.ndarray,
-    objective: Callable[[_Arrays, np.ndarray, np.ndarray], float],
-    gradient: Callable[[_Arrays, np.ndarray, np.ndarray], np.ndarray],
+    objective: Callable[[_Arrays, np.ndarray, np.ndarray, np.ndarray], float],
+    gradient: Callable[[_Arrays, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     max_iter: int = INNER_ITER_CAP,
     target: float = KKT_TARGET,
 ) -> tuple[np.ndarray, float, int]:
@@ -342,17 +351,18 @@ def _eg_ascent(
 
     Returns (point, kkt gap, iterations).  The gap is max_S g - <w, g>,
     which for a concave objective upper-bounds the remaining improvement.
-    Label sums are computed once per point and shared by the objective and
-    the gradient.
+    Label sums and their logs are computed once per point and shared by
+    the objective and the gradient.
     """
     w = w0 / w0.sum()
     step = 0.5
     sums = arr.label_sums(w)
-    f = objective(arr, w, sums)
+    logs = _floored_log(sums)
+    f = objective(arr, w, sums, logs)
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        g = gradient(arr, w, sums)
+        g = gradient(arr, w, sums, logs)
         g_max = g.max()
         gap = max(float(g_max - np.dot(w, g)), 0.0)
         if gap <= target:
@@ -366,7 +376,8 @@ def _eg_ascent(
             cand = np.exp(logw)
             cand /= cand.sum()
             cand_sums = arr.label_sums(cand)
-            fc = objective(arr, cand, cand_sums)
+            cand_logs = _floored_log(cand_sums)
+            fc = objective(arr, cand, cand_sums, cand_logs)
             if fc >= f - 1e-15:
                 break
             trial_step *= 0.5
@@ -376,7 +387,7 @@ def _eg_ascent(
             step = min(trial_step * 1.3, 50.0)
         else:
             step = trial_step
-        w, f, sums = cand, fc, cand_sums
+        w, f, sums, logs = cand, fc, cand_sums, cand_logs
     return w, gap, it
 
 
@@ -403,8 +414,10 @@ def heuristic_gamma(
     w, gap, it = _eg_ascent(
         arr, np.full(len(trips), 1.0 / len(trips)), objective, gradient, max_iter=max_iter,
     )
+    sums = arr.label_sums(w)
     return SolverResult(
-        arr.to_distribution(w), objective(arr, w, arr.label_sums(w)), gap, it, gap <= KKT_TARGET
+        arr.to_distribution(w), objective(arr, w, sums, _floored_log(sums)), gap, it,
+        gap <= KKT_TARGET,
     )
 
 

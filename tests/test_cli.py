@@ -55,6 +55,21 @@ def test_simulate_zero_out_text(capsys, cache_dir):
     assert "mean |I|" in out
 
 
+@pytest.mark.parametrize("n, m", [("3", "3"), ("2", "1")])
+def test_simulate_zero_out_impossible_support_is_config_error(capsys, cache_dir, n, m):
+    # m*n above n(n-1)(n-2): no support of that size exists.
+    code, _ = run(capsys, "simulate", "zero-out", "--n", n, "--m", m, "--seeds", "2")
+    assert code == EXIT_CONFIG
+
+
+def test_simulate_zero_out_meets_the_guarantee(capsys, cache_dir):
+    code, out = run(capsys, "simulate", "zero-out", "--n", "300", "--m", "4",
+                    "--seeds", "200", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert float(payload["mean_kept"]) >= float(payload["bound"]) - 3 * float(payload["stderr"])
+
+
 def test_simulate_pipeline_json(capsys, cache_dir):
     code, out = run(capsys, "simulate", "pipeline", "--q", "2", "--n", "12",
                     "--seeds", "2", "--format", "json")

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from laserlab.construction_sim import (
@@ -15,6 +16,7 @@ from laserlab.construction_sim import (
     greedy_hard_instance,
     max_progression_free_size,
     power_mean_select,
+    random_block_support,
     random_zero_out,
     simulate_laser_pipeline,
 )
@@ -102,11 +104,15 @@ def test_block_support_invariants():
 
 
 def test_greedy_hard_instance_budget_and_coverage():
-    inst = greedy_hard_instance(96, 2, seed=3)
-    assert len(inst.support.off_diag) <= 2 * 96
+    # log^2 n < m: the target size is below n and the cover count matters.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = greedy_hard_instance(128, 25, seed=3)
+    assert len(inst.support.off_diag) <= 25 * 128
+    assert inst.notes["log_remaining_sets"] < 0
     cov = coverage_statistics(inst.support, samples=60, seed=1)
     assert cov["effective_threshold"] is not None
-    assert cov["effective_threshold"] <= 96
+    assert cov["effective_threshold"] <= inst.target_size
 
 
 def test_greedy_hard_instance_requires_min_n():
@@ -196,3 +202,18 @@ def test_pipeline_rejects_bad_alpha():
 def test_pipeline_cap_guard():
     with pytest.raises(ValueError, match="too large"):
         simulate_laser_pipeline(2, 12, seed=0, cap=10)
+
+
+@pytest.mark.parametrize("n, m", [(300, 4), (20, 6), (3, 2), (5, 12)])
+def test_random_block_support_draws_m_n_distinct_triples(n, m):
+    # (3, 2) and (5, 12) take every triple with distinct coordinates.
+    bs = random_block_support(n, m, np.random.default_rng(7))
+    assert len(bs.off_diag) == m * n
+    for trip in bs.off_diag:
+        assert len(set(trip)) == 3 and all(0 <= v < n for v in trip)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (2, 1), (1, 0)])
+def test_random_block_support_rejects_impossible_sizes(n, m):
+    with pytest.raises(ValueError):
+        random_block_support(n, m, np.random.default_rng(0))

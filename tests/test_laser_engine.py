@@ -1,5 +1,10 @@
+import concurrent.futures
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,3 +208,55 @@ def test_engine_config_rejects_unknown_heuristics():
     for bad in ((), (7,), (1, 2), (2, 3)):
         with pytest.raises(ValueError):
             EngineConfig(heuristics_small=bad)
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    code = (
+        "import sys, laserlab.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def t8_pool_run():
+    """analyze_cw(5, 8, 0.791) on a two-worker pool and serially."""
+    pools = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = table_to_json(analyze_cw(5, 8, 0.791))
+        children = multiprocessing.active_children()
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = table_to_json(analyze_cw(5, 8, 0.791))
+    return {"pooled": pooled, "serial": serial, "children": children, "pools": pools}
+
+
+def test_t8_pool_workers_end_with_the_analysis(t8_pool_run):
+    # One pool, for the level-8 classes only, and no worker left behind.
+    assert t8_pool_run["pools"] == [2]
+    assert t8_pool_run["children"] == []
+
+
+def test_t8_pool_table_matches_serial_bytes(t8_pool_run):
+    assert t8_pool_run["pooled"] == t8_pool_run["serial"]
+
+
+def test_levels_below_8_never_create_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    result, _ = omega_bound(6, 2)
+    assert result.certified
+    # Level 4 of CW_5^4 has five recursion classes, still below the pool's level.
+    assert analyze_cw(5, 4, 0.791).top.log_value > 0

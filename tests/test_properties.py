@@ -3,7 +3,8 @@ and the solver's side sums.
 
 The float (``math``) and extended-precision (``mpmath``) evaluations run
 the same code, so they must agree; the dual must bound the entropy of the
-max-entropy point of its class for any finite multipliers.
+max-entropy point of its class for any finite multipliers.  The ascent's
+shared-log objective must give the bits of the masked entropies.
 """
 
 import itertools
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
 from laserlab.laser_engine import CERT_DPS, _certify_distribution_bound
 from laserlab.solver import (
-    _Arrays, entropy_dual_bound, evaluate_gamma, max_entropy_with_marginals,
+    _Arrays, _floored_log, _h2_objective, _h4_objective, _np_entropy, entropy_dual_bound,
+    evaluate_gamma, max_entropy_with_marginals,
 )
 
 CUBE = list(itertools.product(range(3), repeat=3))
@@ -114,3 +116,28 @@ def test_side_sums_match_add_at_bit_for_bit(data):
         want = np.zeros(len(labels))
         np.add.at(want, idx, w)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shared_log_objective_matches_masked_entropy_bit_for_bit(data):
+    support = sorted(data.draw(st.sets(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+        min_size=1, max_size=45,
+    )))
+    # Exact zeros and weights below the 1e-300 floor give label sums where
+    # the objective falls back to the masked entropies.
+    weight = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 1e-301]),
+        st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=True),
+    )
+    w = np.array(data.draw(st.lists(weight, min_size=len(support), max_size=len(support))))
+    arr = _Arrays(support, data.draw(st.lists(finite, min_size=len(support),
+                                              max_size=len(support))))
+    sums = arr.label_sums(w)
+    sx, sy, sz = arr.split(sums)
+    masked = float(np.dot(w, arr.L)) + (_np_entropy(sx) + _np_entropy(sy) + _np_entropy(sz)) / 3.0
+    got = _h2_objective(arr, w, sums, _floored_log(sums))
+    assert np.float64(got).tobytes() == np.float64(masked).tobytes()
+    got4 = _h4_objective(arr, w, sums, _floored_log(sums))
+    assert np.float64(got4).tobytes() == np.float64(masked + 0.5 * _np_entropy(w)).tobytes()
