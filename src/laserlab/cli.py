@@ -313,7 +313,17 @@ def cmd_cache_verify(args) -> int:
     all_ok = True
     reports = []
     for path in _cache_files(args):
-        table = le.table_from_json(path.read_text())
+        try:
+            table = le.table_from_json(path.read_text())
+        except SchemaVersionError:
+            raise
+        except ValueError as exc:
+            # A table that does not load (say, a nan or negative weight)
+            # certifies nothing: the file fails, the others are still checked.
+            reports.append({"file": str(path), "error": str(exc), "entries": 0, "failed": [],
+                            "all_passed": False, "omega_certified": None})
+            all_ok = False
+            continue
         cert = le.certify_table(table)
         reports.append({
             "file": str(path),
@@ -330,6 +340,7 @@ def cmd_cache_verify(args) -> int:
         all_ok = all_ok and cert.all_passed
     payload = {"command": "cache.verify", "reports": reports, "all_passed": all_ok}
     lines = [
+        f"{r['file']}: FAILED to load: {r['error']}" if "error" in r else
         f"{r['file']}: {r['entries']} entries, "
         + ("all pass" if r["all_passed"] else f"{len(r['failed'])} FAILED")
         + (f", omega <= {float(r['omega_certified']):.9f}" if r["omega_certified"] else "")
@@ -420,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaVersionError as exc:
         print(f"schema mismatch: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except InfeasibleMarginalsError as exc:
+    except (InfeasibleMarginalsError, RuntimeError) as exc:
+        # RuntimeError: every pipeline candidate of a class failed, or a
+        # pool worker died (BrokenProcessPool).
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except cs.CapExceededError as exc:

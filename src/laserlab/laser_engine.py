@@ -568,11 +568,12 @@ def _certify_distribution_bound(
 
     The stored alpha defines the feasible point; its exact marginals define
     the class, and the stored multipliers give a sound dual upper bound on
-    the class's maximum entropy whatever their quality.  An alpha with
-    positive weight outside the support certifies nothing: -inf.
+    the class's maximum entropy whatever their quality.  An alpha keyed
+    on a triple outside the support, whatever its weight, certifies
+    nothing: -inf.
     """
     allowed = set(support)
-    if any(float(v) > 0 and t not in allowed for t, v in alpha_weights.items()):
+    if not allowed.issuperset(alpha_weights):
         return mp.ninf
     w = {t: mp.mpf(v) for t, v in alpha_weights.items()}
     total = mp.fsum(w.values())

@@ -25,6 +25,10 @@ from .tensor_core import Triple
 
 INNER_ITER_CAP = 100_000
 KKT_TARGET = 1e-9
+# Accepted ascent steps in a row that leave the objective no higher before
+# the ascent counts as stalled.  In ascents that reach the KKT target such
+# flat runs are at most about 20 steps long.
+STALL_STEPS = 100
 IPF_TOL = 1e-12
 
 
@@ -353,6 +357,12 @@ def _eg_ascent(
     which for a concave objective upper-bounds the remaining improvement.
     Label sums and their logs are computed once per point and shared by
     the objective and the gradient.
+
+    The line search accepts a step that lowers f by up to 1e-15.  Once
+    STALL_STEPS accepted steps in a row leave f no higher (a strict gain
+    resets the count), f has reached its rounding floor short of the KKT
+    target: the ascent stops there and returns the current point and the
+    last gap computed, which is above the target.
     """
     w = w0 / w0.sum()
     step = 0.5
@@ -361,6 +371,7 @@ def _eg_ascent(
     f = objective(arr, w, sums, logs)
     gap = math.inf
     it = 0
+    flat = 0
     for it in range(1, max_iter + 1):
         g = gradient(arr, w, sums, logs)
         g_max = g.max()
@@ -385,9 +396,13 @@ def _eg_ascent(
             break
         if fc > f:
             step = min(trial_step * 1.3, 50.0)
+            flat = 0
         else:
             step = trial_step
+            flat += 1
         w, f, sums, logs = cand, fc, cand_sums, cand_logs
+        if flat >= STALL_STEPS:
+            break
     return w, gap, it
 
 

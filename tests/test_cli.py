@@ -1,15 +1,18 @@
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from laserlab import cli
+from laserlab import laser_engine as le
 from laserlab.cli import (
     EXIT_CAP,
     EXIT_CERT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SCHEMA,
+    EXIT_SOLVER,
     main,
 )
 
@@ -168,6 +171,22 @@ def _alpha_triple_outside_support(data):
     _entry(data, (1, 1, 2))["alpha"][0].update(i=2, j=2, k=0)
 
 
+def _zero_weight_triple_outside_support(data):
+    _entry(data, (1, 1, 2))["alpha"].append({"i": 2, "j": 2, "k": 0, "w": cli.decimal_str(0.0)})
+
+
+def _set_alpha_weight(text):
+    def tamper(data):
+        _entry(data, (1, 1, 2))["alpha"][0]["w"] = text
+    tamper.__name__ = f"_alpha_weight_{text}"
+    return tamper
+
+
+def _negative_top_alpha_weight(data):
+    w = data["top"]["alpha"][-1]
+    w["w"] = "-" + w["w"]
+
+
 @pytest.mark.parametrize("tamper", [
     _drop_top_x_multipliers,
     _null_alpha,
@@ -175,6 +194,11 @@ def _alpha_triple_outside_support(data):
     _relabel_as_merge,
     _delete_entry,
     _alpha_triple_outside_support,
+    _zero_weight_triple_outside_support,
+    _set_alpha_weight("-0.25"),
+    _set_alpha_weight("nan"),
+    _set_alpha_weight("inf"),
+    _negative_top_alpha_weight,
 ])
 def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
     run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")
@@ -210,3 +234,19 @@ def test_analyze_json_output_is_deterministic(capsys, cache_dir):
                       "--format", "json")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("all pipeline candidates failed: h2: boom"),
+    BrokenProcessPool("a process in the process pool was terminated abruptly"),
+], ids=["all-candidates-failed", "broken-pool"])
+def test_solver_runtime_error_is_exit_3(capsys, cache_dir, monkeypatch, error):
+    def fail(job):
+        raise error
+
+    monkeypatch.setattr(le, "_pipeline_job", fail)
+    code = main(["analyze", "--q", "6", "--t", "2", "--tau", "0.8"])
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert err.startswith("solver failure: ") and "Traceback" not in err
+    assert not list(cache_dir.glob("*.json"))

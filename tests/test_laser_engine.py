@@ -14,6 +14,7 @@ from laserlab.laser_engine import (
     LaserEngine,
     SchemaVersionError,
     ValueBound,
+    _realizable_splits,
     analyze_cw,
     certify_table,
     class_is_realizable,
@@ -27,6 +28,7 @@ from laserlab.laser_engine import (
     table_from_json,
     table_to_json,
 )
+from laserlab.solver import heuristic_gamma
 from laserlab.tensor_core import ClassKey, class_subtensor, matmul_shape
 
 TOY = tuple(sorted(itertools.permutations((0, 1, 2))))
@@ -193,15 +195,38 @@ def test_omega_bound_needs_few_probes(q, t):
     assert result.probes <= 10
 
 
-@pytest.mark.parametrize("q, t, tau, log_value, heuristic", [
-    (6, 2, 0.8, "4.1873825833820603747881250455975533e+0", "h2"),
-    (5, 4, 0.791, "7.7837779406898990330887500022072345e+0", "h2+sym"),
+@pytest.mark.parametrize("q, t, tau, floor, log_value, heuristic", [
+    (6, 2, 0.8, "4.1873825833820603747881250455975533e+0",
+     "4.1873825833820603747881250455975533e+0", "h2"),
+    # Stopping stalled ascents moved this value up by 9e-16 from floor,
+    # its value when they ran to the iteration cap.
+    (5, 4, 0.791, "7.7837779406898990330887500022072345e+0",
+     "7.7837779406898999212671697023324668e+0", "h2+sym"),
 ])
-def test_analyze_cw_top_value_is_pinned(q, t, tau, log_value, heuristic):
+def test_analyze_cw_top_value_is_pinned(q, t, tau, floor, log_value, heuristic):
     # Pins the ascent kernel: a change to its arithmetic moves these bits.
     top = analyze_cw(q, t, tau).top
     assert decimal_str(top.log_value) == log_value
+    assert top.log_value >= float(floor)
     assert top.heuristic == heuristic
+
+
+def test_stalled_class_ascent_stops_early():
+    # The h2 ascent of class (1,6,9) of CW_5^8 stops gaining within 100
+    # iterations; without the stall stop it ran to the 20 000 cap.
+    key = ClassKey.make(5, 8, 1, 6, 9)
+    engine = LaserEngine(5, 0.791)
+    value = engine.analyze_class(key)
+    inner = {
+        child: engine.analyze_class(k1).log_value + engine.analyze_class(k2).log_value
+        for child, k1, k2 in _realizable_splits(key)
+    }
+    res = heuristic_gamma(2, sorted(inner), inner, 0.791,
+                          max_iter=EngineConfig().heuristic_iter_cap)
+    assert res.iterations < 1000
+    assert not res.converged
+    # Its value with the cap.
+    assert value.log_value >= 11.872222983470092
 
 
 def test_engine_config_rejects_unknown_heuristics():

@@ -4,7 +4,8 @@ and the solver's side sums.
 The float (``math``) and extended-precision (``mpmath``) evaluations run
 the same code, so they must agree; the dual must bound the entropy of the
 max-entropy point of its class for any finite multipliers.  The ascent's
-shared-log objective must give the bits of the masked entropies.
+shared-log objective must give the bits of the masked entropies, and its
+stall stop must change nothing but where a flat ascent ends.
 """
 
 import itertools
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
 from laserlab.laser_engine import CERT_DPS, _certify_distribution_bound
 from laserlab.solver import (
-    _Arrays, _floored_log, _h2_objective, _h4_objective, _np_entropy, entropy_dual_bound,
-    evaluate_gamma, max_entropy_with_marginals,
+    HEURISTICS, KKT_TARGET, STALL_STEPS, _Arrays, _eg_ascent, _floored_log, _h2_objective,
+    _h4_objective, _np_entropy, entropy_dual_bound, evaluate_gamma, max_entropy_with_marginals,
 )
 
 CUBE = list(itertools.product(range(3), repeat=3))
@@ -141,3 +142,90 @@ def test_shared_log_objective_matches_masked_entropy_bit_for_bit(data):
     assert np.float64(got).tobytes() == np.float64(masked).tobytes()
     got4 = _h4_objective(arr, w, sums, _floored_log(sums))
     assert np.float64(got4).tobytes() == np.float64(masked + 0.5 * _np_entropy(w)).tobytes()
+
+
+def _eg_ascent_without_stall_stop(arr, w0, objective, gradient, max_iter):
+    """_eg_ascent with no stall stop, which also returns its longest run of
+    accepted steps that left the objective no higher."""
+    w = w0 / w0.sum()
+    step = 0.5
+    sums = arr.label_sums(w)
+    logs = _floored_log(sums)
+    f = objective(arr, w, sums, logs)
+    gap = math.inf
+    it = flat = longest = 0
+    for it in range(1, max_iter + 1):
+        g = gradient(arr, w, sums, logs)
+        g_max = g.max()
+        gap = max(float(g_max - np.dot(w, g)), 0.0)
+        if gap <= KKT_TARGET:
+            break
+        shifted = g - g_max
+        log_w = np.log(np.maximum(w, 1e-300))
+        trial_step = step
+        for _ in range(60):
+            logw = log_w + trial_step * shifted
+            logw -= logw.max()
+            cand = np.exp(logw)
+            cand /= cand.sum()
+            cand_sums = arr.label_sums(cand)
+            cand_logs = _floored_log(cand_sums)
+            fc = objective(arr, cand, cand_sums, cand_logs)
+            if fc >= f - 1e-15:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        if fc > f:
+            step = min(trial_step * 1.3, 50.0)
+            flat = 0
+        else:
+            step = trial_step
+            flat += 1
+            longest = max(longest, flat)
+        w, f, sums, logs = cand, fc, cand_sums, cand_logs
+    return w, gap, it, longest
+
+
+def _check_stall_stop(support, log_values, kind):
+    """Compare _eg_ascent with the copy without the stall stop; return the
+    copy's longest flat run."""
+    arr = _Arrays(support, log_values)
+    objective, gradient = HEURISTICS[kind]
+    w0 = np.full(len(support), 1.0 / len(support))
+    w, gap, it = _eg_ascent(arr, w0, objective, gradient, max_iter=2000)
+    ref_w, ref_gap, ref_it, longest = _eg_ascent_without_stall_stop(
+        arr, w0, objective, gradient, max_iter=2000)
+    if longest < STALL_STEPS:
+        assert (w.tobytes(), gap, it) == (ref_w.tobytes(), ref_gap, ref_it)
+    # Either way the stop ends the same path, no later than without it.
+    cut_w, cut_gap, cut_it, _ = _eg_ascent_without_stall_stop(
+        arr, w0, objective, gradient, max_iter=it)
+    assert (w.tobytes(), gap, it) == (cut_w.tobytes(), cut_gap, cut_it)
+    return longest
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stall_stop_changes_only_where_a_flat_ascent_ends(data):
+    support = sorted(data.draw(st.sets(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+        min_size=2, max_size=30,
+    )))
+    log_values = data.draw(st.lists(finite, min_size=len(support), max_size=len(support)))
+    _check_stall_stop(support, log_values, data.draw(st.sampled_from(sorted(HEURISTICS))))
+
+
+def test_stall_stop_on_seeded_supports_with_and_without_a_stall():
+    # Few small hypothesis examples stall, so these seeded draws make sure
+    # both sides of the rule are checked.
+    rng = np.random.default_rng(0)
+    cube = list(itertools.product(range(5), repeat=3))
+    longest = []
+    for n in range(120):
+        size = int(rng.integers(2, 31))
+        support = sorted(cube[i] for i in rng.choice(len(cube), size, replace=False))
+        log_values = list(rng.uniform(-5.0, 5.0, size))
+        longest.append(_check_stall_stop(support, log_values, (2, 4)[n % 2]))
+    assert any(run >= STALL_STEPS for run in longest)
+    assert any(0 < run < STALL_STEPS for run in longest)
