@@ -19,6 +19,12 @@ run in turn.  The search is deterministic, so the tables are the same
 bits either way.  Feasibility of V_tau >= (q+2)^t at a given tau implies
 omega <= 3 tau; the threshold is located by regula falsi and re-verified
 in extended precision.
+
+The classes are the same at every tau and their optima move little, so
+each tau probe starts every heuristic ascent, per class and at the top,
+from where the previous probe's ascent ended, mixed with a WARM_MIX share
+of the uniform distribution so that coordinates the last ascent drove to
+the 1e-300 floor can grow again.  A single-tau analysis starts cold.
 """
 
 from __future__ import annotations
@@ -271,13 +277,22 @@ class EngineConfig:
             )
 
 
-def _pipeline_job(job: tuple[dict[Triple, float], float, tuple[int, ...], int]) -> BoundCandidate:
-    """The pipeline on one recursion class: its best candidate.  Module-level,
-    so that a fork pool can run it."""
-    inner, tau, heuristics, max_iter = job
-    return full_pipeline_gamma(
-        sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter
-    ).best
+# The warm starts of one analysis: each heuristic's ascent start (or, after
+# the analysis, its end point), per recursion class and with None for the top.
+Starts = Mapping[ClassKey | None, Mapping[int, SupportDistribution]]
+
+
+def _pipeline_job(
+    job: tuple[dict[Triple, float], float, tuple[int, ...], int,
+               Mapping[int, SupportDistribution] | None],
+) -> tuple[BoundCandidate, dict[int, SupportDistribution]]:
+    """The pipeline on one recursion class: its best candidate and its
+    heuristics' end points.  Module-level, so that a fork pool can run it."""
+    inner, tau, heuristics, max_iter, starts = job
+    outcome = full_pipeline_gamma(
+        sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter, starts=starts
+    )
+    return outcome.best, outcome.ascents
 
 
 def _penalty_log(best: BoundCandidate) -> float:
@@ -331,16 +346,22 @@ class LaserEngine:
 
     Classes are filled level by level: a class at level s depends only on
     classes at level s/2, so all classes of one level are independent once
-    the level below is in the memo.
+    the level below is in the memo.  ``starts`` warm-starts the heuristic
+    ascents, keyed by class and with None for the top; ``ascents`` holds
+    their end points in the same shape.
     """
 
-    def __init__(self, q: int, tau: float, config: EngineConfig | None = None):
+    def __init__(
+        self, q: int, tau: float, config: EngineConfig | None = None, starts: Starts | None = None,
+    ):
         if not (2.0 / 3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
             raise ValueError(f"tau {tau} outside [2/3, 1]")
         self.q = q
         self.tau = tau
         self.config = config or EngineConfig()
         self._memo: dict[ClassKey, ValueBound] = {}
+        self._starts = starts or {}
+        self.ascents: dict[ClassKey | None, dict[int, SupportDistribution]] = {}
 
     def analyze_class(self, key: ClassKey) -> ValueBound:
         key = ClassKey.make(key.q, key.t, *key.ijk)
@@ -394,11 +415,13 @@ class LaserEngine:
                     self.tau,
                     cfg.heuristics_small,
                     cfg.heuristic_iter_cap,
+                    self._starts.get(key),
                 )
                 for key in batch
             ]
-            for key, best in zip(batch, _level_map(_pipeline_job, jobs, level)):
+            for key, (best, ascents) in zip(batch, _level_map(_pipeline_job, jobs, level)):
                 self._memo[key] = _recursion_bound(key, self.tau, best)
+                self.ascents[key] = ascents
 
     def analyze_cw(self, t: int) -> ValueTable:
         """Outer analysis of CW_q^t: per-class values plus the top pipeline."""
@@ -413,7 +436,9 @@ class LaserEngine:
             self.tau,
             heuristics=self.config.heuristics_small,
             max_iter=self.config.heuristic_iter_cap,
+            starts=self._starts.get(None),
         )
+        self.ascents[None] = outcome.ascents
         best = outcome.best
         # The per-class values are symmetric under permuting roles, so the
         # symmetrized best class is also feasible and sometimes better.
@@ -494,17 +519,26 @@ def omega_bound(
     observed feasible (never an untested point).  The table of that probe
     is returned and re-verified in extended precision; `certified`
     reflects that recheck.
+
+    The first probe (tau = 1) starts every ascent cold.  Each later probe
+    starts them from the previous probe's end points, mixed with WARM_MIX
+    of the uniform distribution (see ``solver.heuristic_gamma``); without
+    the mix, a coordinate left near 1e-300 stalls the ascent before it can
+    grow back, and at t = 8 that raised tau* by 1.2e-5.
     """
     if tol < 1e-9:
         raise ValueError("tolerance below 1e-9 is not supported")
     threshold = t * math.log(q + 2)
     config = config or EngineConfig()
     probes = 0
+    starts: Starts | None = None
 
     def margin(tau: float) -> tuple[float, ValueTable]:
-        nonlocal probes
+        nonlocal probes, starts
         probes += 1
-        table = LaserEngine(q, tau, config).analyze_cw(t)
+        engine = LaserEngine(q, tau, config, starts)
+        table = engine.analyze_cw(t)
+        starts = engine.ascents
         return table.top.log_value - (threshold + 1e-9), table
 
     hi = 1.0
@@ -729,11 +763,22 @@ class SchemaVersionError(ValueError):
 
 
 def table_from_json(text: str) -> ValueTable:
+    """Load a cache file.  A missing key or a value of the wrong type, such
+    as a null weight, raises ValueError with the reason."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"schema_version {doc.get('schema_version')} != {SCHEMA_VERSION}"
         )
+    try:
+        return _table_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"null or mistyped value: {exc}") from exc
+
+
+def _table_from_doc(doc: dict) -> ValueTable:
     q, t = doc["q"], doc["t"]
     tau = float(doc["tau"])
     entries: dict[ClassKey, ValueBound] = {}

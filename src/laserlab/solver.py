@@ -15,7 +15,7 @@ multipliers), so solver convergence affects quality, never soundness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,11 @@ KKT_TARGET = 1e-9
 # the ascent counts as stalled.  In ascents that reach the KKT target such
 # flat runs are at most about 20 steps long.
 STALL_STEPS = 100
+# Weight of the uniform distribution in a warm ascent start.  A warm end
+# point carries coordinates floored near 1e-300; one that has to grow again
+# would climb about 690 nats and stall first.  From 1e-9 the climb is about
+# 20 nats.
+WARM_MIX = 1e-9
 IPF_TOL = 1e-12
 
 
@@ -415,20 +420,25 @@ def heuristic_gamma(
     log_values: Mapping[Triple, float],
     tau: float,
     max_iter: int = INNER_ITER_CAP,
+    start: SupportDistribution | None = None,
 ) -> SolverResult:
-    """One of the two marginal-class search heuristics, from the uniform start.
+    """One of the two marginal-class search heuristics.
 
     2: concave ascent of gamma_V * gamma_B over the simplex.
     4: concave ascent of gamma_V * gamma_B * sqrt(gamma_N).
+
+    The ascent starts from the uniform distribution, or, given a ``start``
+    on the support, from (1 - WARM_MIX) start + WARM_MIX uniform.
     """
     if kind not in HEURISTICS:
         raise ValueError(f"unknown heuristic kind {kind}")
     objective, gradient = HEURISTICS[kind]
     trips = sorted(support)
     arr = _Arrays(trips, [log_values[t] for t in trips])
-    w, gap, it = _eg_ascent(
-        arr, np.full(len(trips), 1.0 / len(trips)), objective, gradient, max_iter=max_iter,
-    )
+    w0 = np.full(len(trips), 1.0 / len(trips))
+    if start is not None:
+        w0 = (1.0 - WARM_MIX) * np.array([start[t] for t in trips]) + WARM_MIX * w0
+    w, gap, it = _eg_ascent(arr, w0, objective, gradient, max_iter=max_iter)
     sums = arr.label_sums(w)
     return SolverResult(
         arr.to_distribution(w), objective(arr, w, sums, _floored_log(sums)), gap, it,
@@ -454,9 +464,12 @@ class BoundCandidate:
 
 @dataclass(frozen=True)
 class PipelineOutcome:
+    """The best candidate, all candidates, and each heuristic's end point."""
+
     best: BoundCandidate
     candidates: tuple[BoundCandidate, ...]
     failures: tuple[str, ...] = ()
+    ascents: dict[int, SupportDistribution] = field(default_factory=dict)
 
 
 def evaluate_gamma(
@@ -500,16 +513,21 @@ def full_pipeline_gamma(
     tau: float,
     heuristics: Sequence[int] = (2,),
     max_iter: int = INNER_ITER_CAP,
+    starts: Mapping[int, SupportDistribution] | None = None,
 ) -> PipelineOutcome:
     """Search for the best refined bound over candidate marginal classes.
 
     Candidates are the classes found by the requested heuristics and
     always a point mass on the best single triple (a valid zeroing-out
     bound that keeps the pipeline total even when every heuristic fails).
+    ``starts`` maps a heuristic kind to its warm start; the outcome's
+    ``ascents`` holds each heuristic's end point, keyed the same way.
     """
     trips = sorted(support)
     candidates: list[BoundCandidate] = []
     failures: list[str] = []
+    ascents: dict[int, SupportDistribution] = {}
+    starts = starts or {}
 
     best_triple = max(trips, key=lambda t: (log_values[t], t))
     gammas: list[tuple[str, SupportDistribution]] = [
@@ -517,8 +535,11 @@ def full_pipeline_gamma(
     ]
     for kind in heuristics:
         try:
-            res = heuristic_gamma(kind, trips, log_values, tau, max_iter=max_iter)
+            res = heuristic_gamma(
+                kind, trips, log_values, tau, max_iter=max_iter, start=starts.get(kind)
+            )
             gammas.append((f"h{kind}", res.distribution))
+            ascents[kind] = res.distribution
         except Exception as exc:  # noqa: BLE001
             failures.append(f"h{kind}: {exc}")
 
@@ -530,7 +551,9 @@ def full_pipeline_gamma(
     if not candidates:
         raise RuntimeError("all pipeline candidates failed: " + "; ".join(failures))
     best = max(candidates, key=lambda c: c.bound_log)
-    return PipelineOutcome(best=best, candidates=tuple(candidates), failures=tuple(failures))
+    return PipelineOutcome(
+        best=best, candidates=tuple(candidates), failures=tuple(failures), ascents=ascents
+    )
 
 
 def kernel_basis(support: Sequence[Triple]) -> np.ndarray:
@@ -552,42 +575,3 @@ def kernel_basis(support: Sequence[Triple]) -> np.ndarray:
     _, s, vt = np.linalg.svd(a)
     rank = int(np.sum(s > 1e-10))
     return vt[rank:]
-
-
-def grid_scan_problem1(
-    support: Sequence[Triple],
-    log_values: Mapping[Triple, float],
-    base: SupportDistribution,
-    steps: int = 2001,
-    span: float = 1.0,
-) -> tuple[float, np.ndarray]:
-    """Brute-force oracle: scan Problem 1's objective along the marginal kernel.
-
-    Only supports kernels of dimension <= 2 (a grid over the coefficients).
-    Returns (best objective, best weight vector).
-    """
-    arr = _Arrays(sorted(support), [log_values[t] for t in sorted(support)])
-    basis = kernel_basis(arr.triples)
-    if basis.shape[0] > 2:
-        raise ValueError(f"kernel dimension {basis.shape[0]} too large for grid scan")
-    w0 = np.array([base[t] for t in arr.triples])
-
-    def objective(w: np.ndarray) -> float:
-        if np.any(w < -1e-12):
-            return -math.inf
-        w = np.maximum(w, 0.0)
-        return float(np.dot(w, arr.L)) + 0.5 * _np_entropy(w)
-
-    best_f, best_w = objective(w0), w0
-    coeffs = np.linspace(-span, span, steps)
-    if basis.shape[0] == 0:
-        return best_f, best_w
-    if basis.shape[0] == 1:
-        points = (w0 + c * basis[0] for c in coeffs)
-    else:
-        points = (w0 + c1 * basis[0] + c2 * basis[1] for c1 in coeffs for c2 in coeffs)
-    for w in points:
-        f = objective(w)
-        if f > best_f:
-            best_f, best_w = f, w.copy()
-    return best_f, np.maximum(best_w, 0.0)

@@ -187,6 +187,14 @@ def _negative_top_alpha_weight(data):
     w["w"] = "-" + w["w"]
 
 
+def _delete_top(data):
+    del data["top"]
+
+
+def _null_top_alpha_weight(data):
+    data["top"]["alpha"][0]["w"] = None
+
+
 @pytest.mark.parametrize("tamper", [
     _drop_top_x_multipliers,
     _null_alpha,
@@ -199,6 +207,8 @@ def _negative_top_alpha_weight(data):
     _set_alpha_weight("nan"),
     _set_alpha_weight("inf"),
     _negative_top_alpha_weight,
+    _delete_top,
+    _null_top_alpha_weight,
 ])
 def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
     run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")

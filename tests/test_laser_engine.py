@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from laserlab import laser_engine as le
 from laserlab.distributions import SupportDistribution
 from laserlab.laser_engine import (
     EngineConfig,
@@ -172,18 +173,25 @@ def test_certify_catches_tampering():
     assert not cert.all_passed
 
 
-@pytest.mark.parametrize("q, t, bisection_tau_star, tau_star", [
+@pytest.mark.parametrize("q, t, bisection_tau_star, cold_tau_star, tau_star", [
     (6, 1, "7.9573059082031250000000000000000000e-1",
-     "7.9572997017517477225112543237628415e-1"),
+     "7.9572997017517477225112543237628415e-1",
+     "7.9572997017517488327342789489193819e-1"),
     (6, 2, "7.9182624816894531250000000000000000e-1",
-     "7.9182563835466845958421799878124148e-1"),
+     "7.9182563835466845958421799878124148e-1",
+     "7.9182563835466812651731061123427935e-1"),
 ])
-def test_omega_bound_pins_tau_star_and_keeps_last_probe(q, t, bisection_tau_star, tau_star):
+def test_omega_bound_pins_tau_star_and_keeps_last_probe(
+    q, t, bisection_tau_star, cold_tau_star, tau_star
+):
     result, table = omega_bound(q, t)
     assert decimal_str(result.tau_star) == tau_star
     # Regula falsi at tol 1e-9 finds a lower feasible tau than bisection
     # at tol 1e-6 did.
     assert result.tau_star < float(bisection_tau_star)
+    # Warm-started probes move tau* by at most 1e-15 from its value when
+    # every probe started cold.
+    assert abs(result.tau_star - float(cold_tau_star)) <= 1e-15
     # The returned table is the last feasible probe's, not a rebuild.
     assert table.tau == result.tau_star
     assert result.certified
@@ -285,3 +293,48 @@ def test_levels_below_8_never_create_a_pool(monkeypatch):
     assert result.certified
     # Level 4 of CW_5^4 has five recursion classes, still below the pool's level.
     assert analyze_cw(5, 4, 0.791).top.log_value > 0
+
+
+def test_omega_bound_warm_starts_each_probe_from_the_one_before(monkeypatch):
+    engines = []
+
+    class SpyEngine(LaserEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(le, "LaserEngine", SpyEngine)
+    result, table = omega_bound(6, 2)
+    assert len(engines) == result.probes
+    assert engines[0]._starts == {}
+    recursion = {key for key, e in table.entries.items() if e.method == "recursion"}
+    assert recursion
+    for before, engine in zip(engines, engines[1:]):
+        assert engine._starts is before.ascents
+        # A start for every recursion class and for the top, per heuristic.
+        assert set(engine._starts) == recursion | {None}
+        assert all(set(s) == {2} for s in engine._starts.values())
+
+
+def test_t8_warm_probe_pool_table_matches_serial_bytes():
+    # Two successive probes, the second warm-started from the first; the
+    # level-8 workers must send their end points back.
+    pools = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        for cpus in ({0, 1}, {0}):
+            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            first = LaserEngine(5, 0.7911)
+            cold = table_to_json(first.analyze_cw(8))
+            second = LaserEngine(5, 0.7910, starts=first.ascents)
+            warm = table_to_json(second.analyze_cw(8))
+            runs[len(cpus)] = (cold, warm, second.ascents)
+    assert pools == [2, 2]
+    assert runs[2] == runs[1]
