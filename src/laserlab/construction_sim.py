@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import SupportDistribution, marginal_sums
+from .distributions import marginal_sums
 from .tensor_core import Triple, build_cw, support_block_triples
 
 
@@ -382,6 +382,8 @@ def coverage_statistics(
     bs: BlockSupport, samples: int = 200, seed: int = 0
 ) -> dict:
     """Empirical covering profile: smallest subset size hit 99% of the time."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     lo, hi = 3, bs.n
     if _coverage_fraction(bs, hi, samples, rng) < 0.99:
@@ -499,15 +501,6 @@ def free_hard_instance(n: int, m: int, seed: int = 0, max_retries: int = 20) -> 
     raise RuntimeError(f"failed to build a free instance within {max_retries} retries")
 
 
-def power_mean_select(a: Sequence[float], b: Sequence[float]) -> int:
-    """Index maximizing a_i^{3/2} / b_i^{1/2}; beats the mean-based floor."""
-    if len(a) != len(b) or not a:
-        raise ValueError("need equal-length nonempty inputs")
-    if any(v <= 0 for v in a) or any(v <= 0 for v in b):
-        raise ValueError("entries must be positive")
-    return max(range(len(a)), key=lambda i: (1.5 * math.log(a[i]) - 0.5 * math.log(b[i]), -i))
-
-
 DEFAULT_PIPELINE_ALPHA_COUNTS: dict[Triple, int] = {
     (0, 0, 2): 1,
     (0, 1, 1): 1,
@@ -548,18 +541,9 @@ class PipelineStats:
             raise ValueError("M must be prime")
 
 
-def _alpha_counts(n: int, alpha: SupportDistribution | Mapping[Triple, int] | None) -> dict[Triple, int]:
+def _alpha_counts(n: int, alpha: Mapping[Triple, int] | None) -> dict[Triple, int]:
     if alpha is None:
         counts = dict(DEFAULT_PIPELINE_ALPHA_COUNTS)
-    elif isinstance(alpha, SupportDistribution):
-        counts = {}
-        for trip, p in alpha.weights.items():
-            scaled = p * n
-            c = round(scaled)
-            if abs(scaled - c) > 1e-9:
-                raise ValueError(f"alpha weight {p} for {trip} is not on the 1/{n} grid")
-            if c:
-                counts[trip] = int(c)
     else:
         counts = {t: int(c) for t, c in alpha.items() if c}
     if sum(counts.values()) != n:
@@ -611,7 +595,7 @@ def _distribution_class(
 def simulate_laser_pipeline(
     q: int,
     n: int,
-    alpha: SupportDistribution | Mapping[Triple, int] | None = None,
+    alpha: Mapping[Triple, int] | None = None,
     seed: int = 0,
     zero_out_trials: int = 8,
     cap: int = 10 ** 6,

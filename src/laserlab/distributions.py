@@ -63,14 +63,6 @@ class SupportDistribution:
     def __getitem__(self, triple: Triple) -> float:
         return self.weights.get(triple, 0.0)
 
-    def restrict_to(self, support: Iterable[Triple]) -> "SupportDistribution":
-        """Check every keyed triple lies in the given support and return self."""
-        allowed = set(support)
-        bad = [t for t in self.weights if t not in allowed]
-        if bad:
-            raise ValueError(f"triples outside support: {sorted(bad)[:5]}")
-        return self
-
     @staticmethod
     def point_mass(triple: Triple) -> "SupportDistribution":
         return SupportDistribution({triple: 1.0})

@@ -16,9 +16,13 @@ independent.  From level 8 up, with more than one usable CPU, a level's
 classes run on a fork pool with one worker per CPU, which ends with the
 level; below that every class ascent takes milliseconds and the classes
 run in turn.  The search is deterministic, so the tables are the same
-bits either way.  Feasibility of V_tau >= (q+2)^t at a given tau implies
-omega <= 3 tau; the threshold is located by regula falsi and re-verified
-in extended precision.
+bits either way.  The top of CW_q^t is valued last, by the same pipeline
+job as a recursion class, into the same bound record (with key None), and
+is certified by the same rule.  Its per-class values are symmetric under
+permuting roles, so the pipeline also tries the S3-symmetrized best class
+there.  Feasibility of V_tau >= (q+2)^t at a given tau implies omega <=
+3 tau; the threshold is located by regula falsi and re-verified in
+extended precision.
 
 The classes are the same at every tau and their optima move little, so
 each tau probe starts every heuristic ascent, per class and at the top,
@@ -39,19 +43,17 @@ from typing import Iterable, Mapping, Sequence
 import mpmath as mp
 
 from .distributions import (
-    FULL_S3, Marginals, SupportDistribution, bound_terms, entropy, marginal_sums, marginals,
-    refined_combination, symmetrize,
+    Marginals, SupportDistribution, bound_terms, entropy, marginal_sums, marginals,
+    refined_combination,
 )
-from .solver import (
-    HEURISTICS, BoundCandidate, InfeasibleMarginalsError, entropy_dual_bound, evaluate_gamma,
-    full_pipeline_gamma,
-)
+from .solver import HEURISTICS, BoundCandidate, entropy_dual_bound, full_pipeline_gamma
 from .tensor_core import ClassKey, Triple, split_subtensor
 
 SCHEMA_VERSION = 1
 CODE_VERSION = "0.1.0"
 CERT_DPS = 60
 CERT_SLACK = 1e-9
+ALLOWED_T = (1, 2, 4, 8, 16, 32)
 
 
 def decimal_str(x: float) -> str:
@@ -195,10 +197,10 @@ def _realizable_splits(key: ClassKey):
 
 @dataclass(frozen=True)
 class ValueBound:
-    """A certified-style lower bound on ln V_tau of one class."""
+    """A certified-style lower bound on ln V_tau of one class, or, with key
+    None, of CW_q^t itself, which is valued like a recursed class."""
 
-    key: ClassKey
-    tau: float
+    key: ClassKey | None
     log_value: float
     method: str
     heuristic: str | None = None
@@ -214,18 +216,6 @@ class ValueBound:
             raise ValueError("log_value must be finite")
 
 
-@dataclass(frozen=True)
-class TopBound:
-    """The top-level outer analysis of CW_q^t."""
-
-    log_value: float
-    heuristic: str | None
-    alpha: SupportDistribution | None
-    gamma: SupportDistribution | None
-    dual_multipliers: tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float]] | None
-    penalty_log: float
-
-
 @dataclass
 class ValueTable:
     """All per-class bounds of one analysis plus run metadata."""
@@ -234,7 +224,7 @@ class ValueTable:
     t: int
     tau: float
     entries: dict[ClassKey, ValueBound]
-    top: TopBound
+    top: ValueBound
     metadata: dict
 
     def __post_init__(self) -> None:
@@ -286,8 +276,9 @@ def _pipeline_job(
     job: tuple[dict[Triple, float], float, tuple[int, ...], int,
                Mapping[int, SupportDistribution] | None],
 ) -> tuple[BoundCandidate, dict[int, SupportDistribution]]:
-    """The pipeline on one recursion class: its best candidate and its
-    heuristics' end points.  Module-level, so that a fork pool can run it."""
+    """The pipeline on one recursion class or on the top: its best
+    candidate and its heuristics' end points.  Module-level, so that a fork
+    pool can run it."""
     inner, tau, heuristics, max_iter, starts = job
     outcome = full_pipeline_gamma(
         sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter, starts=starts
@@ -295,21 +286,16 @@ def _pipeline_job(
     return outcome.best, outcome.ascents
 
 
-def _penalty_log(best: BoundCandidate) -> float:
-    return min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N))
-
-
-def _recursion_bound(key: ClassKey, tau: float, best: BoundCandidate) -> ValueBound:
+def _recursion_bound(key: ClassKey | None, best: BoundCandidate) -> ValueBound:
     return ValueBound(
         key=key,
-        tau=tau,
         log_value=best.bound_log,
         method="recursion",
         heuristic=best.heuristic,
         alpha=best.alpha,
         gamma=best.gamma,
         dual_multipliers=best.dual_multipliers,
-        penalty_log=_penalty_log(best),
+        penalty_log=min(0.0, 0.5 * (best.log_alpha_N - best.max_log_beta_N)),
     )
 
 
@@ -386,7 +372,6 @@ class LaserEngine:
             if method != "recursion":
                 self._memo[key] = ValueBound(
                     key=key,
-                    tau=self.tau,
                     log_value=merged_value(self.q, key.t, *key.ijk[1:], self.tau),
                     method=method,
                 )
@@ -403,60 +388,39 @@ class LaserEngine:
                     if child not in seen:
                         seen.add(child)
                         pending.append(child)
-        cfg = self.config
         for level in sorted(levels):
             batch = sorted(levels[level])
             jobs = [
-                (
+                self._job(
+                    key,
                     {
                         child: self._memo[k1].log_value + self._memo[k2].log_value
                         for child, k1, k2 in inners[key]
                     },
-                    self.tau,
-                    cfg.heuristics_small,
-                    cfg.heuristic_iter_cap,
-                    self._starts.get(key),
                 )
                 for key in batch
             ]
             for key, (best, ascents) in zip(batch, _level_map(_pipeline_job, jobs, level)):
-                self._memo[key] = _recursion_bound(key, self.tau, best)
+                self._memo[key] = _recursion_bound(key, best)
                 self.ascents[key] = ascents
 
+    def _job(self, key: ClassKey | None, inner: dict[Triple, float]) -> tuple:
+        """The pipeline job of one recursion class, or of the top for key None."""
+        cfg = self.config
+        return (inner, self.tau, cfg.heuristics_small, cfg.heuristic_iter_cap,
+                self._starts.get(key))
+
     def analyze_cw(self, t: int) -> ValueTable:
-        """Outer analysis of CW_q^t: per-class values plus the top pipeline."""
+        """Outer analysis of CW_q^t: per-class values, then the top valued
+        by the same pipeline job as a recursion class."""
+        if t not in ALLOWED_T:
+            raise ValueError(f"t must be one of {ALLOWED_T}")
         support = top_support(self.q, t)
         keys = [ClassKey.make(self.q, t, *trip) for trip in support]
         self._fill(keys)
         log_values = {trip: self._memo[key].log_value for trip, key in zip(support, keys)}
-
-        outcome = full_pipeline_gamma(
-            support,
-            log_values,
-            self.tau,
-            heuristics=self.config.heuristics_small,
-            max_iter=self.config.heuristic_iter_cap,
-            starts=self._starts.get(None),
-        )
-        self.ascents[None] = outcome.ascents
-        best = outcome.best
-        # The per-class values are symmetric under permuting roles, so the
-        # symmetrized best class is also feasible and sometimes better.
-        sym = symmetrize(best.gamma, FULL_S3, support)
-        try:
-            cand = evaluate_gamma(support, log_values, self.tau, sym, best.heuristic + "+sym")
-            if cand.bound_log > best.bound_log:
-                best = cand
-        except InfeasibleMarginalsError:
-            pass
-        top = TopBound(
-            log_value=best.bound_log,
-            heuristic=best.heuristic,
-            alpha=best.alpha,
-            gamma=best.gamma,
-            dual_multipliers=best.dual_multipliers,
-            penalty_log=_penalty_log(best),
-        )
+        best, self.ascents[None] = _pipeline_job(self._job(None, log_values))
+        top = _recursion_bound(None, best)
         metadata = {
             "schema_version": SCHEMA_VERSION,
             "code_version": CODE_VERSION,
@@ -470,8 +434,6 @@ class LaserEngine:
 
 
 def analyze_cw(q: int, t: int, tau: float, config: EngineConfig | None = None) -> ValueTable:
-    if t not in {1, 2, 4, 8, 16, 32}:
-        raise ValueError(f"t must be a power of two in 1..32, got {t}")
     return LaserEngine(q, tau, config).analyze_cw(t)
 
 
@@ -592,27 +554,25 @@ class CertReport:
     clears_threshold: bool
 
 
-def _certify_distribution_bound(
-    support: Sequence[Triple],
-    log_values: Mapping[Triple, mp.mpf],
-    alpha_weights: Mapping[Triple, float | str],
-    mults: tuple[Mapping[int, float], Mapping[int, float], Mapping[int, float]],
-) -> mp.mpf:
-    """Re-evaluate the refined bound in extended precision.
+def _certify_bound(bound: ValueBound | None, log_values: Mapping[Triple, mp.mpf]) -> mp.mpf:
+    """Re-evaluate a recursed class's or the top's refined bound in extended
+    precision, on the support of ``log_values``.
 
     The stored alpha defines the feasible point; its exact marginals define
     the class, and the stored multipliers give a sound dual upper bound on
-    the class's maximum entropy whatever their quality.  An alpha keyed
-    on a triple outside the support, whatever its weight, certifies
-    nothing: -inf.
+    the class's maximum entropy whatever their quality.  A missing bound,
+    alpha or multipliers, or an alpha keyed on a triple outside the
+    support, whatever its weight, certifies nothing: -inf.
     """
-    allowed = set(support)
-    if not allowed.issuperset(alpha_weights):
+    if bound is None or bound.alpha is None or bound.dual_multipliers is None:
         return mp.ninf
-    w = {t: mp.mpf(v) for t, v in alpha_weights.items()}
+    support = sorted(log_values)
+    if not set(support).issuperset(bound.alpha.weights):
+        return mp.ninf
+    w = {t: mp.mpf(v) for t, v in bound.alpha.weights.items()}
     total = mp.fsum(w.values())
     w = {t: v / total for t, v in w.items()}
-    mults = tuple({k: mp.mpf(v) for k, v in side.items()} for side in mults)
+    mults = tuple({k: mp.mpf(v) for k, v in side.items()} for side in bound.dual_multipliers)
     marg = Marginals(*marginal_sums(w))
     log_v, log_b, log_n = bound_terms(w, marg, log_values, num=mp)
     dual = entropy_dual_bound(support, marg, mults, num=mp)
@@ -633,6 +593,16 @@ def certify_table(table: ValueTable) -> CertReport:
         certified: dict[ClassKey, mp.mpf] = {}
         reports: list[CertEntryReport] = []
 
+        def report(bound: ValueBound, value: mp.mpf, method_ok: bool = True) -> None:
+            reports.append(
+                CertEntryReport(
+                    key=None if bound.key is None else tuple(bound.key.ijk),
+                    claimed=bound.log_value,
+                    certified_value=float(value),
+                    passed=method_ok and bool(value >= mp.mpf(bound.log_value) - CERT_SLACK),
+                )
+            )
+
         def cert_class(key: ClassKey) -> mp.mpf:
             # The class structure, not the stored method, picks the path: a
             # class touching index 0 is merged, any other is recursed, and an
@@ -643,50 +613,26 @@ def certify_table(table: ValueTable) -> CertReport:
             method = _class_method(key)
             if method != "recursion":
                 value = merged_value(q, key.t, *key.ijk[1:], tau, num=mp)
-            elif entry is None or entry.alpha is None or entry.dual_multipliers is None:
-                value = mp.ninf
             else:
-                inner: dict[Triple, mp.mpf] = {}
-                for child, k1, k2 in _realizable_splits(key):
-                    inner[child] = cert_class(k1) + cert_class(k2)
-                value = _certify_distribution_bound(
-                    sorted(inner), inner, entry.alpha.weights, entry.dual_multipliers
-                )
+                # Children sort before their parent, so they are already
+                # certified and reported unless their entry is missing.
+                value = _certify_bound(entry, {
+                    child: cert_class(k1) + cert_class(k2)
+                    for child, k1, k2 in _realizable_splits(key)
+                })
             certified[key] = value
             if entry is not None:
-                reports.append(
-                    CertEntryReport(
-                        key=tuple(key.ijk),
-                        claimed=entry.log_value,
-                        certified_value=float(value),
-                        passed=entry.method == method
-                        and bool(value >= mp.mpf(entry.log_value) - CERT_SLACK),
-                    )
-                )
+                report(entry, value, entry.method == method)
             return value
 
         for key in sorted(table.entries):
             cert_class(key)
 
-        top = table.top
-        support = top_support(q, table.t)
-        log_values = {
-            trip: cert_class(ClassKey.make(q, table.t, *trip)) for trip in support
-        }
-        if top.alpha is not None and top.dual_multipliers is not None:
-            top_value = _certify_distribution_bound(
-                support, log_values, top.alpha.weights, top.dual_multipliers
-            )
-        else:
-            top_value = max(log_values.values())
-        reports.append(
-            CertEntryReport(
-                key=None,
-                claimed=top.log_value,
-                certified_value=float(top_value),
-                passed=bool(top_value >= mp.mpf(top.log_value) - CERT_SLACK),
-            )
-        )
+        top_value = _certify_bound(table.top, {
+            trip: cert_class(ClassKey.make(q, table.t, *trip))
+            for trip in top_support(q, table.t)
+        })
+        report(table.top, top_value)
         all_passed = all(r.passed for r in reports)
         return CertReport(
             entries=tuple(reports),
@@ -730,31 +676,39 @@ def _mults_from_json(data: dict | None):
     )
 
 
-def table_to_json(table: ValueTable) -> str:
-    entries = []
-    for key in sorted(table.entries):
-        e = table.entries[key]
-        entries.append({
-            "I": key.ijk[0], "J": key.ijk[1], "K": key.ijk[2],
-            "log_value": decimal_str(e.log_value),
-            "method": e.method,
-            "heuristic": e.heuristic,
-            "gamma": _dist_to_json(e.gamma),
-            "alpha": _dist_to_json(e.alpha),
-            "dual_multipliers": _mults_to_json(e.dual_multipliers),
-            "penalty_log": decimal_str(e.penalty_log),
-        })
-    top = {
-        "log_value": decimal_str(table.top.log_value),
-        "heuristic": table.top.heuristic,
-        "gamma": _dist_to_json(table.top.gamma),
-        "alpha": _dist_to_json(table.top.alpha),
-        "dual_multipliers": _mults_to_json(table.top.dual_multipliers),
-        "penalty_log": decimal_str(table.top.penalty_log),
+def _bound_to_json(b: ValueBound) -> dict:
+    """The fields an entry and the top share; an entry adds I, J, K and method."""
+    return {
+        "log_value": decimal_str(b.log_value),
+        "heuristic": b.heuristic,
+        "gamma": _dist_to_json(b.gamma),
+        "alpha": _dist_to_json(b.alpha),
+        "dual_multipliers": _mults_to_json(b.dual_multipliers),
+        "penalty_log": decimal_str(b.penalty_log),
     }
+
+
+def _bound_from_json(d: dict, key: ClassKey | None, method: str) -> ValueBound:
+    return ValueBound(
+        key=key,
+        log_value=float(d["log_value"]),
+        method=method,
+        heuristic=d.get("heuristic"),
+        alpha=_dist_from_json(d.get("alpha")),
+        gamma=_dist_from_json(d.get("gamma")),
+        dual_multipliers=_mults_from_json(d.get("dual_multipliers")),
+        penalty_log=min(0.0, float(d["penalty_log"])),
+    )
+
+
+def table_to_json(table: ValueTable) -> str:
     doc = dict(table.metadata)
-    doc["entries"] = entries
-    doc["top"] = top
+    doc["entries"] = [
+        {"I": key.ijk[0], "J": key.ijk[1], "K": key.ijk[2], "method": e.method,
+         **_bound_to_json(e)}
+        for key, e in sorted(table.entries.items())
+    ]
+    doc["top"] = _bound_to_json(table.top)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -785,26 +739,8 @@ def _table_from_doc(doc: dict) -> ValueTable:
     for e in doc["entries"]:
         # Keys at level s have index sum 2s.
         key = ClassKey.make(q, (e["I"] + e["J"] + e["K"]) // 2, e["I"], e["J"], e["K"])
-        entries[key] = ValueBound(
-            key=key,
-            tau=tau,
-            log_value=float(e["log_value"]),
-            method=e["method"],
-            heuristic=e.get("heuristic"),
-            alpha=_dist_from_json(e.get("alpha")),
-            gamma=_dist_from_json(e.get("gamma")),
-            dual_multipliers=_mults_from_json(e.get("dual_multipliers")),
-            penalty_log=min(0.0, float(e["penalty_log"])),
-        )
-    topd = doc["top"]
-    top = TopBound(
-        log_value=float(topd["log_value"]),
-        heuristic=topd.get("heuristic"),
-        alpha=_dist_from_json(topd.get("alpha")),
-        gamma=_dist_from_json(topd.get("gamma")),
-        dual_multipliers=_mults_from_json(topd.get("dual_multipliers")),
-        penalty_log=min(0.0, float(topd["penalty_log"])),
-    )
+        entries[key] = _bound_from_json(e, key, e["method"])
+    top = _bound_from_json(doc["top"], None, "recursion")
     metadata = {k: v for k, v in doc.items() if k not in {"entries", "top"}}
     return ValueTable(q, t, tau, entries, top, metadata)
 

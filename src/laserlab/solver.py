@@ -14,13 +14,16 @@ multipliers), so solver convergence affects quality, never soundness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Marginals, SupportDistribution, bound_terms, marginals, refined_combination
+from .distributions import (
+    FULL_S3, Marginals, SupportDistribution, bound_terms, marginals, refined_combination, symmetrize,
+)
 from .tensor_core import Triple
 
 INNER_ITER_CAP = 100_000
@@ -207,6 +210,33 @@ def _logsumexp(v: np.ndarray) -> float:
     return peak + math.log(float(np.sum(np.exp(finite - peak))))
 
 
+def _fit(
+    arr: _Arrays,
+    log_base: np.ndarray,
+    marg: Marginals,
+    tol: float,
+    objective: Callable[[np.ndarray], float],
+) -> SolverResult:
+    """IPF on base weights exp(log_base), accepted at residual 1e-8; the
+    point, ``objective`` at it and the side multipliers."""
+    log_w, mx, my, mz, residual, it = _ipf(arr, log_base, marg)
+    if not residual <= 1e-8:
+        raise InfeasibleMarginalsError("IPF failed to match marginals", residual)
+    w = np.exp(log_w)
+    mults = tuple(
+        dict(zip(labels, (float(v) for v in m)))
+        for labels, m in ((arr.x_labels, mx), (arr.y_labels, my), (arr.z_labels, mz))
+    )
+    return SolverResult(
+        distribution=arr.to_distribution(w),
+        objective=objective(w),
+        kkt_residual=residual,
+        iterations=it,
+        converged=residual <= tol,
+        multipliers=mults,
+    )
+
+
 def max_entropy_with_marginals(
     support: Iterable[Triple],
     marg: Marginals,
@@ -214,24 +244,7 @@ def max_entropy_with_marginals(
 ) -> SolverResult:
     """Problem 2: the entropy maximizer over D_gamma, in product form."""
     arr = _Arrays(list(support))
-    log_beta, mx, my, mz, residual, it = _ipf(arr, np.zeros(len(arr.triples)), marg)
-    if not residual <= 1e-8:
-        raise InfeasibleMarginalsError("IPF failed to match marginals", residual)
-    w = np.exp(log_beta)
-    obj = _np_entropy(w)
-    mults = (
-        dict(zip(arr.x_labels, (float(v) for v in mx))),
-        dict(zip(arr.y_labels, (float(v) for v in my))),
-        dict(zip(arr.z_labels, (float(v) for v in mz))),
-    )
-    return SolverResult(
-        distribution=arr.to_distribution(w),
-        objective=obj,
-        kkt_residual=residual,
-        iterations=it,
-        converged=residual <= tol,
-        multipliers=mults,
-    )
+    return _fit(arr, np.zeros(len(arr.triples)), marg, tol, _np_entropy)
 
 
 def solve_problem1(
@@ -250,23 +263,8 @@ def solve_problem1(
     """
     trips = sorted(support)
     arr = _Arrays(trips, [log_values[t] for t in trips])
-    log_alpha, mx, my, mz, residual, it = _ipf(arr, 2.0 * arr.L, marg)
-    if not residual <= 1e-8:
-        raise InfeasibleMarginalsError("IPF failed to match marginals", residual)
-    w = np.exp(log_alpha)
-    obj = float(np.dot(w, arr.L)) + 0.5 * _np_entropy(w)
-    mults = (
-        dict(zip(arr.x_labels, (float(v) for v in mx))),
-        dict(zip(arr.y_labels, (float(v) for v in my))),
-        dict(zip(arr.z_labels, (float(v) for v in mz))),
-    )
-    return SolverResult(
-        distribution=arr.to_distribution(w),
-        objective=obj,
-        kkt_residual=residual,
-        iterations=it,
-        converged=residual <= tol,
-        multipliers=mults,
+    return _fit(
+        arr, 2.0 * arr.L, marg, tol, lambda w: float(np.dot(w, arr.L)) + 0.5 * _np_entropy(w)
     )
 
 
@@ -520,6 +518,13 @@ def full_pipeline_gamma(
     Candidates are the classes found by the requested heuristics and
     always a point mass on the best single triple (a valid zeroing-out
     bound that keeps the pipeline total even when every heuristic fails).
+    When the support and its values are unchanged by the six role
+    permutations, the S3-symmetrized best class is feasible too and is
+    tried last, so it wins only with a strictly higher bound.  That holds
+    at the top of CW_q^t and for no recursion class: it would need
+    I = J = K with I + J + K = 2t, and 3 does not divide 2t for t a power
+    of two (no class of CW_q^t with q <= 7, t <= 32 has an S3-stable
+    inner support).
     ``starts`` maps a heuristic kind to its warm start; the outcome's
     ``ascents`` holds each heuristic's end point, keyed the same way.
     """
@@ -528,6 +533,12 @@ def full_pipeline_gamma(
     failures: list[str] = []
     ascents: dict[int, SupportDistribution] = {}
     starts = starts or {}
+
+    def evaluate(name: str, gamma: SupportDistribution) -> None:
+        try:
+            candidates.append(evaluate_gamma(trips, log_values, tau, gamma, name))
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"{name}: {exc}")
 
     best_triple = max(trips, key=lambda t: (log_values[t], t))
     gammas: list[tuple[str, SupportDistribution]] = [
@@ -544,13 +555,17 @@ def full_pipeline_gamma(
             failures.append(f"h{kind}: {exc}")
 
     for name, gamma in gammas:
-        try:
-            candidates.append(evaluate_gamma(trips, log_values, tau, gamma, name))
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"{name}: {exc}")
+        evaluate(name, gamma)
     if not candidates:
         raise RuntimeError("all pipeline candidates failed: " + "; ".join(failures))
     best = max(candidates, key=lambda c: c.bound_log)
+    allowed = set(trips)
+    if all(
+        p in allowed and log_values[p] == log_values[t]
+        for t in trips for p in itertools.permutations(t)
+    ):
+        evaluate(best.heuristic + "+sym", symmetrize(best.gamma, FULL_S3, trips))
+        best = max(candidates, key=lambda c: c.bound_log)
     return PipelineOutcome(
         best=best, candidates=tuple(candidates), failures=tuple(failures), ascents=ascents
     )

@@ -83,6 +83,17 @@ def test_simulate_pipeline_json(capsys, cache_dir):
                         payload["A_size"] * 132 ** 3 / 24203 ** 2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "--q", "2", "--n", "12", "--seeds", "0"),
+    ("hard-instance", "--n", "128", "--m", "25", "--samples", "0"),
+], ids=["pipeline-seeds", "hard-instance-samples"])
+def test_simulate_zero_count_is_config_error(capsys, cache_dir, argv):
+    code = main(["simulate", *argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: ")
+
+
 def test_pipeline_cap_exit_code(capsys, cache_dir):
     code, _ = run(capsys, "simulate", "pipeline", "--q", "2", "--n", "12",
                   "--cap", "10")
@@ -118,6 +129,18 @@ def test_cache_verify_rederives_omega(capsys, cache_dir):
     # tau = 0.79 is infeasible at t = 1: the table certifies no omega.
     (infeasible,) = (r for f, r in reports.items() if f != omega["cache"])
     assert infeasible["all_passed"] and infeasible["omega_certified"] is None
+
+
+def test_cache_schema_key_sets(capsys, cache_dir):
+    run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")
+    data = json.loads(next(cache_dir.glob("*.json")).read_text())
+    bound = {"log_value", "heuristic", "gamma", "alpha", "dual_multipliers", "penalty_log"}
+    assert set(data) == {"schema_version", "code_version", "q", "t", "tau", "heuristics",
+                         "seed", "entries", "top"}
+    assert set(data["top"]) == bound
+    assert data["entries"]
+    for entry in data["entries"]:
+        assert set(entry) == bound | {"I", "J", "K", "method"}
 
 
 def test_cache_verify_catches_tampering(capsys, cache_dir):
@@ -195,6 +218,13 @@ def _null_top_alpha_weight(data):
     data["top"]["alpha"][0]["w"] = None
 
 
+def _null_top_alpha_at_best_class_value(data):
+    # A top without alpha certifies nothing, not its best class's value.
+    level_t = [e for e in data["entries"] if e["I"] + e["J"] + e["K"] == 2 * data["t"]]
+    data["top"]["alpha"] = None
+    data["top"]["log_value"] = max(level_t, key=lambda e: float(e["log_value"]))["log_value"]
+
+
 @pytest.mark.parametrize("tamper", [
     _drop_top_x_multipliers,
     _null_alpha,
@@ -209,6 +239,7 @@ def _null_top_alpha_weight(data):
     _negative_top_alpha_weight,
     _delete_top,
     _null_top_alpha_weight,
+    _null_top_alpha_at_best_class_value,
 ])
 def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
     run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")
@@ -246,16 +277,18 @@ def test_analyze_json_output_is_deterministic(capsys, cache_dir):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("error", [
-    RuntimeError("all pipeline candidates failed: h2: boom"),
-    BrokenProcessPool("a process in the process pool was terminated abruptly"),
-], ids=["all-candidates-failed", "broken-pool"])
-def test_solver_runtime_error_is_exit_3(capsys, cache_dir, monkeypatch, error):
+@pytest.mark.parametrize("error, t", [
+    (RuntimeError("all pipeline candidates failed: h2: boom"), "2"),
+    (BrokenProcessPool("a process in the process pool was terminated abruptly"), "2"),
+    # Every class of CW_q^1 is merged, so only the top runs the pipeline job.
+    (RuntimeError("all pipeline candidates failed: h2: boom"), "1"),
+], ids=["all-candidates-failed", "broken-pool", "all-candidates-failed-at-top"])
+def test_solver_runtime_error_is_exit_3(capsys, cache_dir, monkeypatch, error, t):
     def fail(job):
         raise error
 
     monkeypatch.setattr(le, "_pipeline_job", fail)
-    code = main(["analyze", "--q", "6", "--t", "2", "--tau", "0.8"])
+    code = main(["analyze", "--q", "6", "--t", t, "--tau", "0.8"])
     err = capsys.readouterr().err
     assert code == EXIT_SOLVER
     assert err.startswith("solver failure: ") and "Traceback" not in err

@@ -15,7 +15,6 @@ from laserlab.construction_sim import (
     free_hard_instance,
     greedy_hard_instance,
     max_progression_free_size,
-    power_mean_select,
     random_block_support,
     random_zero_out,
     simulate_laser_pipeline,
@@ -147,20 +146,6 @@ def test_free_hard_instance_is_free():
 def test_free_hard_instance_warns_outside_regime():
     with pytest.warns(UserWarning):
         free_hard_instance(128, 2, seed=0)
-
-
-def test_power_mean_select_beats_ratio_of_means():
-    import numpy as np
-
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        k = int(rng.integers(1, 8))
-        a = rng.uniform(0.1, 5.0, size=k).tolist()
-        b = rng.uniform(0.1, 5.0, size=k).tolist()
-        i = power_mean_select(a, b)
-        lhs = a[i] ** 1.5 / b[i] ** 0.5
-        rhs = (sum(a) / k) ** 1.5 / (sum(b) / k) ** 0.5
-        assert lhs >= rhs * (1 - 1e-12)
 
 
 def test_pipeline_default_counters():

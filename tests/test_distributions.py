@@ -42,13 +42,6 @@ def test_point_mass_and_uniform():
     assert all(math.isclose(u[t], 1 / 6) for t in TOY)
 
 
-def test_restrict_to_validates_containment():
-    u = SupportDistribution.uniform(TOY)
-    assert u.restrict_to(TOY) is u
-    with pytest.raises(ValueError):
-        u.restrict_to(TOY[:3])
-
-
 def test_marginals_sum_to_one():
     u = SupportDistribution.uniform(TOY)
     m = marginals(u)

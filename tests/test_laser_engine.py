@@ -111,7 +111,7 @@ def test_refined_rejects_alpha_outside_support_without_log_value():
 def test_value_bound_rejects_positive_penalty():
     key = ClassKey.make(2, 1, 0, 1, 1)
     with pytest.raises(ValueError):
-        ValueBound(key=key, tau=0.8, log_value=0.1, method="merge", penalty_log=0.5)
+        ValueBound(key=key, log_value=0.1, method="merge", penalty_log=0.5)
 
 
 FAST = EngineConfig(heuristics_small=(2,), heuristic_iter_cap=2000)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
-from laserlab.laser_engine import CERT_DPS, EngineConfig, _certify_distribution_bound
+from laserlab.laser_engine import CERT_DPS, EngineConfig, _certify_bound, _recursion_bound
 from laserlab.solver import (
     HEURISTICS, KKT_TARGET, STALL_STEPS, _Arrays, _eg_ascent, _floored_log, _h2_objective,
     _h4_objective, _np_entropy, entropy_dual_bound, evaluate_gamma, heuristic_gamma,
@@ -83,9 +83,8 @@ def test_search_bound_matches_certified_bound(data):
     log_values = {t: data.draw(finite) for t in support}
     cand = evaluate_gamma(support, log_values, 0.8, gamma, "h2")
     with mp.workdps(CERT_DPS):
-        certified = _certify_distribution_bound(
-            support, {t: mp.mpf(v) for t, v in log_values.items()},
-            cand.alpha.weights, cand.dual_multipliers,
+        certified = _certify_bound(
+            _recursion_bound(None, cand), {t: mp.mpf(v) for t, v in log_values.items()}
         )
     # The search takes ln alpha_B and the dual's class from gamma's
     # marginals, the certifier from alpha's; they differ by the IPF

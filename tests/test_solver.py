@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from laserlab.distributions import Marginals, SupportDistribution, entropy, marginals
+from laserlab import solver
 from laserlab.solver import (
     InfeasibleMarginalsError,
     _Arrays,
@@ -142,3 +143,26 @@ def test_full_pipeline_includes_point_mass_and_orders():
     assert out.best.bound_log >= point.bound_log - 1e-12
     # The point-mass bound is the best single log-value (zeroing out).
     assert math.isclose(point.bound_log, max(lv.values()), abs_tol=1e-9)
+
+
+def test_full_pipeline_symmetrizes_only_role_symmetric_values():
+    equal = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, 0.8, max_iter=2000)
+    assert [c.heuristic for c in equal.candidates] == ["point-mass", "h2", "h2+sym"]
+    rng = np.random.default_rng(2)
+    lv = {t: float(rng.normal(scale=0.2)) for t in TOY}
+    rand = full_pipeline_gamma(TOY, lv, 0.8, max_iter=2000)
+    assert not any(c.heuristic.endswith("+sym") for c in rand.candidates)
+
+
+def test_failed_symmetrized_candidate_is_a_failure(monkeypatch):
+    real = solver.evaluate_gamma
+
+    def evaluate(support, log_values, tau, gamma, heuristic):
+        if heuristic.endswith("+sym"):
+            raise InfeasibleMarginalsError("boom", 1.0)
+        return real(support, log_values, tau, gamma, heuristic)
+
+    monkeypatch.setattr(solver, "evaluate_gamma", evaluate)
+    out = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, 0.8, max_iter=2000)
+    assert [f.split(":")[0] for f in out.failures] == ["h2+sym"]
+    assert out.best.heuristic == "h2"
