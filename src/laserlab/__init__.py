@@ -5,7 +5,8 @@ The package is organized around six parts:
 - ``tensor_core``: sparse 0/1 trilinear forms, the CW tensor family,
   Kronecker powers, block grading and zeroing-outs.
 - ``distributions``: probability distributions on the block-triple support
-  of a partitioned tensor, their marginals and entropy-derived quantities.
+  of a partitioned tensor, their marginals and entropy-derived quantities,
+  the refined-bound formula and the dual entropy certificate.
 - ``solver``: entropy maximization with fixed marginals (iterative
   proportional fitting), the trade-off program on a marginal class, and
   the heuristic searches over the full simplex.
@@ -16,22 +17,8 @@ The package is organized around six parts:
   constructions (progression-free sets, randomized diagonalization, the
   block-level hashing pipeline).
 - ``cli``: the ``laserlab`` command-line front end.
+
+Importing the package loads none of them; import the submodule you use.
 """
-
-from laserlab.tensor_core import BlockTensor, ClassKey, build_cw, kronecker, zero_out
-from laserlab.distributions import SupportDistribution, marginals
-from laserlab.laser_engine import omega_bound, schonhage_tau  # noqa: E402
-
-__all__ = [
-    "BlockTensor",
-    "ClassKey",
-    "SupportDistribution",
-    "build_cw",
-    "kronecker",
-    "marginals",
-    "omega_bound",
-    "schonhage_tau",
-    "zero_out",
-]
 
 __version__ = "0.1.0"

@@ -5,8 +5,18 @@ any cache file) is deterministic for a fixed configuration — keys sorted,
 compact separators, all certified quantities as decimal strings, no
 timestamps.  Wall-clock timings go to stderr only.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 certification failure, 5 instance cap exceeded, 6 cache schema mismatch.
+Exit codes: 0 success, 2 configuration error (including a path that is
+missing, a directory or unreadable), 3 solver failure, 4 certification
+failure, 5 instance cap exceeded, 6 cache schema mismatch.
+
+Import rule: a command loads only the layers it runs.  At load time this
+module imports only modules that load neither numpy nor mpmath
+(``laser_engine``, ``distributions``, ``tensor_core``), and ``main`` maps
+exceptions through classes defined there.  A ``simulate`` command imports
+``construction_sim`` (and numpy) itself; ``laser_engine`` imports the numpy
+search (``solver``) where it searches and mpmath where it certifies.  So
+``--help`` and ``cache list`` load neither, ``cache verify`` loads mpmath,
+``simulate`` and ``analyze`` load numpy, and ``omega`` loads both.
 """
 
 from __future__ import annotations
@@ -23,10 +33,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from . import construction_sim as cs
 from . import laser_engine as le
+from .distributions import InfeasibleMarginalsError
 from .laser_engine import EngineConfig, SchemaVersionError, decimal_str
-from .solver import InfeasibleMarginalsError
+from .tensor_core import CapExceededError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +76,7 @@ def _engine_config(args) -> EngineConfig:
     kwargs = {"seed": args.seed}
     if getattr(args, "heuristics", None):
         kwargs["heuristics_small"] = tuple(args.heuristics)
-    if getattr(args, "iter_cap", None):
+    if getattr(args, "iter_cap", None) is not None:
         kwargs["heuristic_iter_cap"] = args.iter_cap
     return EngineConfig(**kwargs)
 
@@ -169,6 +179,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate_behrend(args) -> int:
+    from . import construction_sim as cs
+
     ss = cs.behrend_set(args.M)
     if not ss.is_valid():
         raise AssertionError(f"behrend_set({args.M}) failed the 3-AP check")
@@ -186,6 +198,8 @@ def cmd_simulate_behrend(args) -> int:
 def cmd_simulate_zero_out(args) -> int:
     # Random support at the theorem's density: m*n off-diagonal triples.
     import numpy as np
+
+    from . import construction_sim as cs
 
     rng = np.random.default_rng(args.seed)
     sizes = []
@@ -214,6 +228,8 @@ def cmd_simulate_zero_out(args) -> int:
 
 
 def cmd_simulate_hard_instance(args) -> int:
+    from . import construction_sim as cs
+
     if args.kind == "greedy":
         inst = cs.greedy_hard_instance(args.n, args.m, seed=args.seed)
     else:
@@ -238,6 +254,8 @@ def cmd_simulate_hard_instance(args) -> int:
 
 
 def cmd_simulate_pipeline(args) -> int:
+    from . import construction_sim as cs
+
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     c1s, c3s, ls = [], [], []
@@ -284,7 +302,7 @@ def _cache_files(args) -> list[Path]:
     cache_dir = default_cache_dir()
     if not cache_dir.is_dir():
         return []
-    return sorted(p for p in cache_dir.iterdir() if p.suffix == ".json")
+    return sorted(p for p in cache_dir.iterdir() if p.suffix == ".json" and p.is_file())
 
 
 def cmd_cache_list(args) -> int:
@@ -434,10 +452,17 @@ def main(argv: list[str] | None = None) -> int:
         # pool worker died (BrokenProcessPool).
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except cs.CapExceededError as exc:
+    except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # A path the user named (--file, --cache, the cache directory) that
+        # is missing, a directory or unreadable.
+        if exc.filename is None:
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionError as exc:

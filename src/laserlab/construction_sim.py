@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distributions import marginal_sums
-from .tensor_core import Triple, build_cw, support_block_triples
+from .tensor_core import CapExceededError, Triple, build_cw, support_block_triples
 
 
 def _is_prime(n: int) -> bool:
@@ -47,10 +47,6 @@ def _multiset_permutations(bag: Sequence) -> Iterable[tuple]:
             j -= 1
         perm[i], perm[j] = perm[j], perm[i]
         perm[i + 1:] = reversed(perm[i + 1:])
-
-
-class CapExceededError(ValueError):
-    """An instance is too large to enumerate under the caller's cap."""
 
 
 @dataclass(frozen=True)

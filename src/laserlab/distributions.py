@@ -6,6 +6,12 @@ alpha drive the value bound: alpha_B (a function of the marginals only),
 alpha_N (the perplexity of alpha), and alpha_V (a value-weighted geometric
 mean).  All three are kept in natural-log domain; at large powers the raw
 products overflow doubles.
+
+The refined-bound formula (``bound_terms``, ``refined_combination``) and the
+dual certificate on a class's maximum entropy (``entropy_dual_bound``) live
+here, in plain Python over any arithmetic, so the search (``solver``, on
+numpy) and the certifier (``laser_engine``, on mpmath) share them and the
+certifier never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +24,14 @@ from .tensor_core import Triple
 
 SUM_TOLERANCE = 1e-12
 RENORM_TOLERANCE = 1e-9
+
+
+class InfeasibleMarginalsError(ValueError):
+    """No distribution on the support attains the requested marginals."""
+
+    def __init__(self, message: str, best_residual: float = math.inf):
+        super().__init__(f"{message} (best residual {best_residual:.3e})")
+        self.best_residual = best_residual
 
 
 def entropy(weights: Iterable, log: Callable = math.log):
@@ -147,6 +161,45 @@ def refined_combination(log_v, log_b, log_n, max_log_beta_n):
     alpha itself lies in its class.
     """
     return log_v + log_b + (log_n - max(max_log_beta_n, log_n)) / 2
+
+
+def entropy_dual_bound(
+    support: Iterable[Triple],
+    marg: Marginals,
+    multipliers: tuple[Mapping[int, object], Mapping[int, object], Mapping[int, object]],
+    num=math,
+):
+    """Certified upper bound on max entropy over D_gamma.
+
+    For any side multipliers m, every beta with the given marginals
+    satisfies H(beta) <= ln sum_S exp(m_i + m_j + m_k) - sum gamma·m
+    (Gibbs variational inequality).  Soundness does not require the
+    multipliers to be optimal, so unconverged IPF output is acceptable.
+    Triples touching a zero-mass label carry no feasible mass and are
+    dropped from the partition sum.  A label of positive mass without a
+    multiplier leaves only the bound ``num.inf``.  ``num`` is the
+    arithmetic: ``math`` for the search, ``mpmath`` for certification.
+    """
+    gx, gy, gz = marg.as_tuple()
+    mx, my, mz = multipliers
+    for g, m in ((gx, mx), (gy, my), (gz, mz)):
+        if any(p > 0 and lab not in m for lab, p in g.items()):
+            return num.inf
+    terms = [
+        mx[i] + my[j] + mz[k]
+        for (i, j, k) in support
+        if gx.get(i, 0) > 0 and gy.get(j, 0) > 0 and gz.get(k, 0) > 0
+    ]
+    if not terms:
+        raise InfeasibleMarginalsError("no feasible triple for the marginals", 1.0)
+    peak = max(terms)
+    log_z = peak + num.log(num.fsum(num.exp(v - peak) for v in terms))
+    dot = (
+        num.fsum(p * mx[i] for i, p in gx.items() if p > 0)
+        + num.fsum(p * my[j] for j, p in gy.items() if p > 0)
+        + num.fsum(p * mz[k] for k, p in gz.items() if p > 0)
+    )
+    return log_z - dot
 
 
 def derived(

@@ -29,6 +29,12 @@ each tau probe starts every heuristic ascent, per class and at the top,
 from where the previous probe's ascent ended, mixed with a WARM_MIX share
 of the uniform distribution so that coordinates the last ascent drove to
 the 1e-300 floor can grow again.  A single-tau analysis starts cold.
+
+The numpy search (``solver``) is imported only where a class is searched
+and where ``EngineConfig`` checks its heuristics, and mpmath only where a
+table is certified, so loading and certifying a cache file never loads
+numpy.  ``EngineConfig`` is built before any level pool forks, so the
+workers inherit ``solver`` loaded.
 """
 
 from __future__ import annotations
@@ -38,16 +44,18 @@ import math
 import os
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .distributions import (
-    Marginals, SupportDistribution, bound_terms, entropy, marginal_sums, marginals,
-    refined_combination,
+    Marginals, SupportDistribution, bound_terms, entropy, entropy_dual_bound, marginal_sums,
+    marginals, refined_combination,
 )
-from .solver import HEURISTICS, BoundCandidate, entropy_dual_bound, full_pipeline_gamma
 from .tensor_core import ClassKey, Triple, split_subtensor
+
+if TYPE_CHECKING:
+    import mpmath as mp
+
+    from .solver import BoundCandidate
 
 SCHEMA_VERSION = 1
 CODE_VERSION = "0.1.0"
@@ -260,10 +268,16 @@ class EngineConfig:
     heuristic_iter_cap: int = 20_000
 
     def __post_init__(self) -> None:
+        from .solver import HEURISTICS
+
         if not self.heuristics_small or not set(self.heuristics_small) <= HEURISTICS.keys():
             raise ValueError(
                 f"heuristics must be a non-empty subset of {sorted(HEURISTICS)}, "
                 f"got {list(self.heuristics_small)}"
+            )
+        if self.heuristic_iter_cap < 1:
+            raise ValueError(
+                f"heuristic iteration cap must be at least 1, got {self.heuristic_iter_cap}"
             )
 
 
@@ -279,6 +293,8 @@ def _pipeline_job(
     """The pipeline on one recursion class or on the top: its best
     candidate and its heuristics' end points.  Module-level, so that a fork
     pool can run it."""
+    from .solver import full_pipeline_gamma
+
     inner, tau, heuristics, max_iter, starts = job
     outcome = full_pipeline_gamma(
         sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter, starts=starts
@@ -564,6 +580,8 @@ def _certify_bound(bound: ValueBound | None, log_values: Mapping[Triple, mp.mpf]
     alpha or multipliers, or an alpha keyed on a triple outside the
     support, whatever its weight, certifies nothing: -inf.
     """
+    import mpmath as mp
+
     if bound is None or bound.alpha is None or bound.dual_multipliers is None:
         return mp.ninf
     support = sorted(log_values)
@@ -586,6 +604,8 @@ def certify_table(table: ValueTable) -> CertReport:
     already-certified child values, so each report line is a sound claim
     about the actual tensor, not merely a float reproduction.
     """
+    import mpmath as mp
+
     with mp.workdps(CERT_DPS):
         tau = mp.mpf(table.metadata["tau"]) if isinstance(table.metadata.get("tau"), str) \
             else mp.mpf(table.tau)

@@ -8,8 +8,9 @@ heuristics search the full simplex for a good marginal class to hand to the
 exact programs.
 
 Every quantity that feeds a certified claim is either a feasible point
-(valid regardless of optimality) or a dual certificate (valid for arbitrary
-multipliers), so solver convergence affects quality, never soundness.
+(valid regardless of optimality) or a dual certificate
+(``distributions.entropy_dual_bound``, valid for arbitrary multipliers), so
+solver convergence affects quality, never soundness.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .distributions import (
-    FULL_S3, Marginals, SupportDistribution, bound_terms, marginals, refined_combination, symmetrize,
+    FULL_S3, InfeasibleMarginalsError, Marginals, SupportDistribution, bound_terms,
+    entropy_dual_bound, marginals, refined_combination, symmetrize,
 )
 from .tensor_core import Triple
 
@@ -38,14 +40,6 @@ STALL_STEPS = 100
 # 20 nats.
 WARM_MIX = 1e-9
 IPF_TOL = 1e-12
-
-
-class InfeasibleMarginalsError(ValueError):
-    """No distribution on the support attains the requested marginals."""
-
-    def __init__(self, message: str, best_residual: float = math.inf):
-        super().__init__(f"{message} (best residual {best_residual:.3e})")
-        self.best_residual = best_residual
 
 
 @dataclass(frozen=True)
@@ -266,45 +260,6 @@ def solve_problem1(
     return _fit(
         arr, 2.0 * arr.L, marg, tol, lambda w: float(np.dot(w, arr.L)) + 0.5 * _np_entropy(w)
     )
-
-
-def entropy_dual_bound(
-    support: Iterable[Triple],
-    marg: Marginals,
-    multipliers: tuple[Mapping[int, object], Mapping[int, object], Mapping[int, object]],
-    num=math,
-):
-    """Certified upper bound on max entropy over D_gamma.
-
-    For any side multipliers m, every beta with the given marginals
-    satisfies H(beta) <= ln sum_S exp(m_i + m_j + m_k) - sum gamma·m
-    (Gibbs variational inequality).  Soundness does not require the
-    multipliers to be optimal, so unconverged IPF output is acceptable.
-    Triples touching a zero-mass label carry no feasible mass and are
-    dropped from the partition sum.  A label of positive mass without a
-    multiplier leaves only the bound ``num.inf``.  ``num`` is the
-    arithmetic: ``math`` for the search, ``mpmath`` for certification.
-    """
-    gx, gy, gz = marg.as_tuple()
-    mx, my, mz = multipliers
-    for g, m in ((gx, mx), (gy, my), (gz, mz)):
-        if any(p > 0 and lab not in m for lab, p in g.items()):
-            return num.inf
-    terms = [
-        mx[i] + my[j] + mz[k]
-        for (i, j, k) in support
-        if gx.get(i, 0) > 0 and gy.get(j, 0) > 0 and gz.get(k, 0) > 0
-    ]
-    if not terms:
-        raise InfeasibleMarginalsError("no feasible triple for the marginals", 1.0)
-    peak = max(terms)
-    log_z = peak + num.log(num.fsum(num.exp(v - peak) for v in terms))
-    dot = (
-        num.fsum(p * mx[i] for i, p in gx.items() if p > 0)
-        + num.fsum(p * my[j] for j, p in gy.items() if p > 0)
-        + num.fsum(p * mz[k] for k, p in gz.items() if p > 0)
-    )
-    return log_z - dot
 
 
 def _np_entropy(w: np.ndarray) -> float:

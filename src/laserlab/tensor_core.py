@@ -23,6 +23,10 @@ class TensorSizeError(ValueError):
     """Raised when a Kronecker product would exceed the variable cap."""
 
 
+class CapExceededError(ValueError):
+    """An instance is too large to enumerate under the caller's cap."""
+
+
 @dataclass(frozen=True)
 class BlockTensor:
     """A trilinear form with 0/1 coefficients and labeled variable blocks."""

@@ -259,6 +259,41 @@ def test_unknown_heuristic_is_config_error(capsys, cache_dir):
     assert not list(cache_dir.glob("*.json"))
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", ["--tau", "0.8"]),
+    ("omega", []),
+], ids=["analyze", "omega"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_iter_cap_below_one_is_config_error(capsys, cache_dir, command, extra, cap):
+    # A cap of 0 used to run the default 20 000 and -5 ascents that take no step.
+    code = main([command, "--q", "6", "--t", "1", *extra, "--iter-cap", cap])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: heuristic iteration cap")
+    assert not list(cache_dir.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["list", "verify"])
+@pytest.mark.parametrize("name", ["a-directory", "missing.json"])
+def test_cache_file_that_cannot_be_read_is_config_error(capsys, cache_dir, tmp_path,
+                                                        command, name):
+    (tmp_path / "a-directory").mkdir()
+    code = main(["cache", command, "--file", str(tmp_path / name)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key", [("list", "tables"), ("verify", "reports")])
+def test_cache_commands_skip_a_directory_named_like_a_table(capsys, cache_dir, command, key):
+    run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
+    (table,) = cache_dir.glob("*.json")
+    (cache_dir / "x.json").mkdir()
+    code, out = run(capsys, "cache", command, "--format", "json")
+    assert code == EXIT_OK
+    assert [r["file"] for r in json.loads(out)[key]] == [str(table)]
+
+
 def test_cache_schema_mismatch_exit_code(capsys, cache_dir):
     run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
     path = next(cache_dir.glob("*.json"))

@@ -243,14 +243,36 @@ def test_engine_config_rejects_unknown_heuristics():
             EngineConfig(heuristics_small=bad)
 
 
-def test_cli_import_leaves_pool_modules_unloaded():
+# What a command may load, checked in a fresh interpreter.  No command below
+# reaches level 8, so none may load the pool modules either.
+HEAVY_MODULES = ("numpy", "mpmath", "laserlab.solver", "laserlab.construction_sim",
+                 "multiprocessing", "concurrent.futures")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], []),
+    (["cache", "verify", "--file", "{table}"], ["mpmath"]),
+    (["simulate", "hard-instance", "--n", "64", "--m", "3", "--samples", "5"],
+     ["laserlab.construction_sim", "numpy"]),
+    (["analyze", "--q", "6", "--t", "1", "--tau", "0.8"], ["laserlab.solver", "numpy"]),
+    (["omega", "--q", "6", "--t", "1"], ["laserlab.solver", "mpmath", "numpy"]),
+], ids=["help", "cache-verify", "simulate", "analyze", "omega"])
+def test_cli_command_loads_only_its_layers(tmp_path, argv, loaded):
+    table = tmp_path / "table.json"
+    table.write_text(table_to_json(analyze_cw(6, 1, 0.8)))
     code = (
-        "import sys, laserlab.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "import sys\n"
+        "from laserlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(code, sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "[]"
+    argv = [a.format(table=table) for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                               LASERLAB_CACHE_DIR=str(tmp_path / "cache")),
+    )
+    assert out.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,10 @@ the same code, so they must agree; the dual must bound the entropy of the
 max-entropy point of its class for any finite multipliers.  The ascent's
 shared-log objective must give the bits of the masked entropies, and its
 stall stop must change nothing but where a flat ascent ends.  A warm
-ascent start must reach the objective of the cold one.
+ascent start must reach the objective of the cold one.  Symmetrizing must
+give an S3-invariant distribution with each orbit's mass kept, and the
+closed-form realizability test of a class must agree with the explicit
+tensor power.
 """
 
 import itertools
@@ -14,16 +17,22 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laserlab.distributions import SupportDistribution, bound_terms, entropy, marginals
-from laserlab.laser_engine import CERT_DPS, EngineConfig, _certify_bound, _recursion_bound
+from laserlab.distributions import (
+    FULL_S3, SupportDistribution, _permute, bound_terms, entropy, marginals, symmetrize,
+)
+from laserlab.laser_engine import (
+    CERT_DPS, EngineConfig, _certify_bound, _recursion_bound, class_is_realizable,
+)
 from laserlab.solver import (
     HEURISTICS, KKT_TARGET, STALL_STEPS, _Arrays, _eg_ascent, _floored_log, _h2_objective,
     _h4_objective, _np_entropy, entropy_dual_bound, evaluate_gamma, heuristic_gamma,
     max_entropy_with_marginals,
 )
+from laserlab.tensor_core import enumerate_class_supports
 
 CUBE = list(itertools.product(range(3), repeat=3))
 
@@ -262,3 +271,35 @@ def test_warm_starts_reach_the_cold_objective(valued, kind, pick):
         # with a gap above the target, so its objective is what is checked.
         if cold.converged:
             assert abs(warm.objective - cold.objective) <= 2 * KKT_TARGET
+
+
+def _orbit(triple):
+    return frozenset(_permute(triple, perm) for perm in FULL_S3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_symmetrize_is_s3_invariant_and_keeps_orbit_mass(data):
+    # An S3-stable support: a union of orbits of the cube.
+    seeds = data.draw(st.sets(st.sampled_from(CUBE), min_size=1, max_size=4))
+    support = sorted(set().union(*map(_orbit, seeds)))
+    keyed = sorted(data.draw(st.sets(st.sampled_from(support), min_size=1)))
+    counts = data.draw(st.lists(st.integers(1, 20), min_size=len(keyed), max_size=len(keyed)))
+    alpha = SupportDistribution({t: c / sum(counts) for t, c in zip(keyed, counts)})
+    sym = symmetrize(alpha, FULL_S3, support)
+    assert set(sym.weights) <= set(support)
+    assert abs(math.fsum(sym.weights.values()) - 1.0) <= 1e-12
+    for trip in support:
+        for perm in FULL_S3:
+            assert abs(sym[_permute(trip, perm)] - sym[trip]) <= 1e-15
+    for orbit in {_orbit(t) for t in support}:
+        assert abs(math.fsum(sym[t] for t in orbit) - math.fsum(alpha[t] for t in orbit)) <= 1e-12
+
+
+# The index domain is finite, so it is checked exhaustively, with one step
+# past each end so that negative and oversized indices are covered too.
+@pytest.mark.parametrize("q, t", list(itertools.product(range(4), (1, 2))))
+def test_class_is_realizable_matches_the_explicit_power(q, t):
+    nonzero = set(enumerate_class_supports(q, t))
+    for ijk in itertools.product(range(-1, 2 * t + 2), repeat=3):
+        assert class_is_realizable(q, t, *ijk) == (ijk in nonzero), ijk
