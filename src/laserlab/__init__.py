@@ -3,7 +3,7 @@
 The package is organized around six parts:
 
 - ``tensor_core``: sparse 0/1 trilinear forms, the CW tensor family,
-  Kronecker powers, block grading and zeroing-outs.
+  Kronecker powers, zeroing-outs, and which graded classes are nonzero.
 - ``distributions``: probability distributions on the block-triple support
   of a partitioned tensor, their marginals and entropy-derived quantities,
   the refined-bound formula and the dual entropy certificate.

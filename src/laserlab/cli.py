@@ -305,10 +305,25 @@ def _cache_files(args) -> list[Path]:
     return sorted(p for p in cache_dir.iterdir() if p.suffix == ".json" and p.is_file())
 
 
+def _load_tables(args):
+    """(path, table, None) per cache file, or (path, None, reason) for a file
+    whose table does not load, which fails while the others are still read.
+    A schema mismatch raises."""
+    for path in _cache_files(args):
+        try:
+            yield path, le.table_from_json(path.read_text()), None
+        except SchemaVersionError:
+            raise
+        except ValueError as exc:
+            yield path, None, str(exc)
+
+
 def cmd_cache_list(args) -> int:
     rows = []
-    for path in _cache_files(args):
-        table = le.table_from_json(path.read_text())
+    for path, table, error in _load_tables(args):
+        if table is None:
+            rows.append({"file": str(path), "error": error})
+            continue
         rows.append({
             "file": str(path),
             "q": table.q,
@@ -319,26 +334,19 @@ def cmd_cache_list(args) -> int:
         })
     payload = {"command": "cache.list", "tables": rows}
     _emit(args, payload, [
+        f"{r['file']}: FAILED to load: {r['error']}" if "error" in r else
         f"{r['file']}: q={r['q']} t={r['t']} tau={float(r['tau']):.9f} "
         f"entries={r['entries']}" for r in rows
     ] or ["(empty cache)"])
-    return EXIT_OK
+    return EXIT_CERT if any("error" in r for r in rows) else EXIT_OK
 
 
 def cmd_cache_verify(args) -> int:
-    all_ok = True
     reports = []
-    for path in _cache_files(args):
-        try:
-            table = le.table_from_json(path.read_text())
-        except SchemaVersionError:
-            raise
-        except ValueError as exc:
-            # A table that does not load (say, a nan or negative weight)
-            # certifies nothing: the file fails, the others are still checked.
-            reports.append({"file": str(path), "error": str(exc), "entries": 0, "failed": [],
+    for path, table, error in _load_tables(args):
+        if table is None:
+            reports.append({"file": str(path), "error": error, "entries": 0, "failed": [],
                             "all_passed": False, "omega_certified": None})
-            all_ok = False
             continue
         cert = le.certify_table(table)
         reports.append({
@@ -353,7 +361,7 @@ def cmd_cache_verify(args) -> int:
             "all_passed": cert.all_passed,
             "omega_certified": decimal_str(3.0 * table.tau) if cert.clears_threshold else None,
         })
-        all_ok = all_ok and cert.all_passed
+    all_ok = all(r["all_passed"] for r in reports)
     payload = {"command": "cache.verify", "reports": reports, "all_passed": all_ok}
     lines = [
         f"{r['file']}: FAILED to load: {r['error']}" if "error" in r else

@@ -50,7 +50,7 @@ from .distributions import (
     Marginals, SupportDistribution, bound_terms, entropy, entropy_dual_bound, marginal_sums,
     marginals, refined_combination,
 )
-from .tensor_core import ClassKey, Triple, split_subtensor
+from .tensor_core import ClassKey, Triple, class_is_realizable, split_subtensor, top_support
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -78,52 +78,6 @@ def decimal_str(x: float) -> str:
     return format(Decimal(float(x)), ".34e")
 
 
-def class_is_realizable(q: int, t: int, I: int, J: int, K: int) -> bool:
-    """Whether the class T^t_{IJK} of CW_q^t is a nonzero tensor.
-
-    Each factor contributes one of the six CW block triples (permutations
-    of (0,0,2) and, for q >= 1, of (0,1,1)); the class is nonzero iff the
-    index triple is a sum of t such contributions.
-    """
-    if I < 0 or J < 0 or K < 0 or I + J + K != 2 * t:
-        return False
-    for a in range(t + 1):
-        if 2 * a > I:
-            break
-        for b in range(t + 1 - a):
-            if 2 * b > J:
-                continue
-            for c in range(t + 1 - a - b):
-                if 2 * c > K:
-                    continue
-                rest = t - a - b - c
-                # Middle-type counts d, e, f solve e+f = I-2a, d+f = J-2b, d+e = K-2c.
-                se, sf, sd = I - 2 * a, J - 2 * b, K - 2 * c
-                if q == 0:
-                    if rest == 0 and se == 0 and sf == 0 and sd == 0:
-                        return True
-                    continue
-                total2 = se + sf + sd
-                if total2 != 2 * rest or total2 % 2:
-                    continue
-                f = (se + sf - sd) // 2
-                e = se - f
-                d = sf - f
-                if f >= 0 and e >= 0 and d >= 0:
-                    return True
-    return False
-
-
-def top_support(q: int, t: int) -> list[Triple]:
-    """The realizable outer block triples (I, J, K) of CW_q^t, sorted."""
-    return sorted(
-        (I, J, 2 * t - I - J)
-        for I in range(2 * t + 1)
-        for J in range(2 * t + 1 - I)
-        if class_is_realizable(q, t, I, J, 2 * t - I - J)
-    )
-
-
 def merged_count(q: int, t: int, I: int, J: int) -> int:
     """Size N of the matrix multiplication tensor <N,1,1> merged from T^t_{IJ0}.
 
@@ -134,12 +88,9 @@ def merged_count(q: int, t: int, I: int, J: int) -> int:
     if I < 0 or J < 0 or I + J != 2 * t:
         raise ValueError(f"merged class needs I+J = 2t, got I={I} J={J} t={t}")
     total = 0
-    for b in range(min(I, J, t) + 1):
-        if (I - b) % 2 or (J - b) % 2:
-            continue
+    # I + J = 2t, so I - b and J - b are even together.
+    for b in range(I % 2, min(I, J, t) + 1, 2):
         i2, j2 = (I - b) // 2, (J - b) // 2
-        if b + i2 + j2 != t:
-            continue
         total += (
             math.factorial(t)
             // (math.factorial(b) * math.factorial(i2) * math.factorial(j2))
@@ -196,7 +147,8 @@ def _class_method(key: ClassKey) -> str:
 
 def _realizable_splits(key: ClassKey):
     """Each split of a class into two nonzero half-level classes, as
-    (inner triple, child key, complement key)."""
+    (inner triple, child key, complement key).  A nonzero class at even t
+    has one: the first and last t/2 of its t block triples."""
     half = key.t // 2
     for child, comp in split_subtensor(key):
         if class_is_realizable(key.q, half, *child) and class_is_realizable(key.q, half, *comp):
@@ -287,17 +239,16 @@ Starts = Mapping[ClassKey | None, Mapping[int, SupportDistribution]]
 
 
 def _pipeline_job(
-    job: tuple[dict[Triple, float], float, tuple[int, ...], int,
-               Mapping[int, SupportDistribution] | None],
+    job: tuple[dict[Triple, float], tuple[int, ...], int, Mapping[int, SupportDistribution] | None],
 ) -> tuple[BoundCandidate, dict[int, SupportDistribution]]:
     """The pipeline on one recursion class or on the top: its best
     candidate and its heuristics' end points.  Module-level, so that a fork
     pool can run it."""
     from .solver import full_pipeline_gamma
 
-    inner, tau, heuristics, max_iter, starts = job
+    inner, heuristics, max_iter, starts = job
     outcome = full_pipeline_gamma(
-        sorted(inner), inner, tau, heuristics=heuristics, max_iter=max_iter, starts=starts
+        sorted(inner), inner, heuristics=heuristics, max_iter=max_iter, starts=starts
     )
     return outcome.best, outcome.ascents
 
@@ -356,6 +307,8 @@ class LaserEngine:
     def __init__(
         self, q: int, tau: float, config: EngineConfig | None = None, starts: Starts | None = None,
     ):
+        if q < 0:
+            raise ValueError(f"q must be non-negative, got q={q}")
         if not (2.0 / 3.0 - 1e-12 <= tau <= 1.0 + 1e-12):
             raise ValueError(f"tau {tau} outside [2/3, 1]")
         self.q = q
@@ -394,10 +347,7 @@ class LaserEngine:
                 continue
             if key.t % 2:
                 raise ValueError(f"cannot split odd t in {key}")
-            splits = list(_realizable_splits(key))
-            if not splits:
-                raise ValueError(f"class {key} has no realizable split")
-            inners[key] = splits
+            inners[key] = splits = list(_realizable_splits(key))
             levels.setdefault(key.t, []).append(key)
             for _, k1, k2 in splits:
                 for child in (k1, k2):
@@ -423,8 +373,7 @@ class LaserEngine:
     def _job(self, key: ClassKey | None, inner: dict[Triple, float]) -> tuple:
         """The pipeline job of one recursion class, or of the top for key None."""
         cfg = self.config
-        return (inner, self.tau, cfg.heuristics_small, cfg.heuristic_iter_cap,
-                self._starts.get(key))
+        return (inner, cfg.heuristics_small, cfg.heuristic_iter_cap, self._starts.get(key))
 
     def analyze_cw(self, t: int) -> ValueTable:
         """Outer analysis of CW_q^t: per-class values, then the top valued
@@ -506,7 +455,6 @@ def omega_bound(
     """
     if tol < 1e-9:
         raise ValueError("tolerance below 1e-9 is not supported")
-    threshold = t * math.log(q + 2)
     config = config or EngineConfig()
     probes = 0
     starts: Starts | None = None
@@ -517,7 +465,8 @@ def omega_bound(
         engine = LaserEngine(q, tau, config, starts)
         table = engine.analyze_cw(t)
         starts = engine.ascents
-        return table.top.log_value - (threshold + 1e-9), table
+        # After the engine, which rejects q < 0, so that log(q + 2) is defined.
+        return table.top.log_value - (t * math.log(q + 2) + 1e-9), table
 
     hi = 1.0
     m_hi, table_hi = margin(hi)
@@ -737,8 +686,9 @@ class SchemaVersionError(ValueError):
 
 
 def table_from_json(text: str) -> ValueTable:
-    """Load a cache file.  A missing key or a value of the wrong type, such
-    as a null weight, raises ValueError with the reason."""
+    """Load a cache file.  A missing key, a value of the wrong type (such
+    as a null weight), a q or t the engine would not run, or an entry for a
+    zero class raises ValueError with the reason."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -754,11 +704,17 @@ def table_from_json(text: str) -> ValueTable:
 
 def _table_from_doc(doc: dict) -> ValueTable:
     q, t = doc["q"], doc["t"]
+    if type(q) is not int or q < 0:
+        raise ValueError(f"q must be a non-negative integer, got {q!r}")
+    if type(t) is not int or t not in ALLOWED_T:
+        raise ValueError(f"t must be one of {ALLOWED_T}, got {t!r}")
     tau = float(doc["tau"])
     entries: dict[ClassKey, ValueBound] = {}
     for e in doc["entries"]:
         # Keys at level s have index sum 2s.
         key = ClassKey.make(q, (e["I"] + e["J"] + e["K"]) // 2, e["I"], e["J"], e["K"])
+        if not class_is_realizable(q, key.t, *key.ijk):
+            raise ValueError(f"entry {key.ijk} at t={key.t} is the zero tensor at q={q}")
         entries[key] = _bound_from_json(e, key, e["method"])
     top = _bound_from_json(doc["top"], None, "recursion")
     metadata = {k: v for k, v in doc.items() if k not in {"entries", "top"}}

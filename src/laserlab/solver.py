@@ -139,14 +139,14 @@ def _ipf(
     arr: _Arrays,
     log_base: np.ndarray,
     marg: Marginals,
-    tol: float = IPF_TOL,
-    max_iter: int = INNER_ITER_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Iterative proportional fitting of side factors in log domain.
 
     Fits beta proportional to exp(log_base + mx[i] + my[j] + mz[k]) to the
-    target marginals.  Returns (log_beta, mx, my, mz, residual, iterations);
-    residual is the max-norm marginal mismatch of the final normalized beta.
+    target marginals, for at most INNER_ITER_CAP sweeps or until the
+    residual reaches IPF_TOL.  Returns (log_beta, mx, my, mz, residual,
+    iterations); residual is the max-norm marginal mismatch of the final
+    normalized beta.
     Labels with zero target mass get multiplier -inf, zeroing their triples.
     """
     tx, ty, tz = _marginal_targets(arr, marg)
@@ -166,7 +166,7 @@ def _ipf(
 
     residual = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, INNER_ITER_CAP + 1):
         lg = logits()
         if not np.any(np.isfinite(lg)):
             raise InfeasibleMarginalsError("all support triples forced to zero", 1.0)
@@ -189,7 +189,7 @@ def _ipf(
             float(np.max(np.abs(cy - ty))),
             float(np.max(np.abs(cz - tz))),
         )
-        if residual <= tol:
+        if residual <= IPF_TOL:
             break
     lg = logits()
     lg = lg - _logsumexp(lg)
@@ -244,14 +244,15 @@ def max_entropy_with_marginals(
 def solve_problem1(
     support: Iterable[Triple],
     log_values: Mapping[Triple, float],
-    tau: float,
+    tau: float | None,
     marg: Marginals,
     tol: float = 1e-11,
 ) -> SolverResult:
     """Problem 1: maximize log alpha_V + (1/2) entropy(alpha) over D_gamma.
 
     alpha_B is constant on the class, so it is dropped from the internal
-    objective and the caller adds it back from the marginals.  The optimum
+    objective and the caller adds it back from the marginals.  ``tau`` is
+    not read: the class values already carry it.  The optimum
     is alpha proportional to exp(2 L) x_i y_j z_k, fitted by IPF on base
     weights exp(2 L).
     """
@@ -371,7 +372,6 @@ def heuristic_gamma(
     kind: int,
     support: Iterable[Triple],
     log_values: Mapping[Triple, float],
-    tau: float,
     max_iter: int = INNER_ITER_CAP,
     start: SupportDistribution | None = None,
 ) -> SolverResult:
@@ -428,7 +428,6 @@ class PipelineOutcome:
 def evaluate_gamma(
     support: Sequence[Triple],
     log_values: Mapping[Triple, float],
-    tau: float,
     gamma: SupportDistribution,
     heuristic: str,
 ) -> BoundCandidate:
@@ -439,7 +438,7 @@ def evaluate_gamma(
     stopped short of convergence.
     """
     marg = marginals(gamma)
-    p1 = solve_problem1(support, log_values, tau, marg)
+    p1 = solve_problem1(support, log_values, None, marg)
     p2 = max_entropy_with_marginals(support, marg)
     dual = entropy_dual_bound(support, marg, p2.multipliers)
     alpha = p1.distribution
@@ -463,7 +462,6 @@ def evaluate_gamma(
 def full_pipeline_gamma(
     support: Iterable[Triple],
     log_values: Mapping[Triple, float],
-    tau: float,
     heuristics: Sequence[int] = (2,),
     max_iter: int = INNER_ITER_CAP,
     starts: Mapping[int, SupportDistribution] | None = None,
@@ -491,7 +489,7 @@ def full_pipeline_gamma(
 
     def evaluate(name: str, gamma: SupportDistribution) -> None:
         try:
-            candidates.append(evaluate_gamma(trips, log_values, tau, gamma, name))
+            candidates.append(evaluate_gamma(trips, log_values, gamma, name))
         except Exception as exc:  # noqa: BLE001
             failures.append(f"{name}: {exc}")
 
@@ -502,7 +500,7 @@ def full_pipeline_gamma(
     for kind in heuristics:
         try:
             res = heuristic_gamma(
-                kind, trips, log_values, tau, max_iter=max_iter, start=starts.get(kind)
+                kind, trips, log_values, max_iter=max_iter, start=starts.get(kind)
             )
             gammas.append((f"h{kind}", res.distribution))
             ascents[kind] = res.distribution

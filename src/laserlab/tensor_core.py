@@ -85,6 +85,31 @@ class ClassKey(NamedTuple):
 SubtensorRef = Union[BlockTensor, ClassKey]
 
 
+def class_is_realizable(q: int, t: int, I: int, J: int, K: int) -> bool:
+    """Whether the class T^t_{IJK} of CW_q^t (q >= 0) is a nonzero tensor:
+    iff I, J, K >= 0, I + J + K = 2t, and q >= 1 or I, J, K are all even.
+
+    By definition, iff (I, J, K) is a sum of t CW block triples: permutations
+    of (0,0,2) and, for q >= 1, of (0,1,1).  Proof: list I x's, J y's and K
+    z's in order and pair them off.  An equal pair is a (0,0,2)-type triple
+    and a mixed pair a (0,1,1)-type one, which covers q >= 1.  For even I,
+    J, K every pair is equal, and (0,0,2)-type triples give only even indices.
+    """
+    if I < 0 or J < 0 or K < 0 or I + J + K != 2 * t:
+        return False
+    return q >= 1 or I % 2 == J % 2 == K % 2 == 0
+
+
+def top_support(q: int, t: int) -> list[Triple]:
+    """The nonzero outer block triples (I, J, K) of CW_q^t, sorted."""
+    return [
+        (I, J, 2 * t - I - J)
+        for I in range(2 * t + 1)
+        for J in range(2 * t + 1 - I)
+        if class_is_realizable(q, t, I, J, 2 * t - I - J)
+    ]
+
+
 @dataclass(frozen=True)
 class PartitionedTensor:
     """Block-triple view of a tensor whose nonzero block triples share a sum."""
@@ -192,26 +217,18 @@ def zero_out(t: BlockTensor, keep_x: Iterable[int], keep_y: Iterable[int],
 
 
 def grade_power(q: int, t: int) -> PartitionedTensor:
-    """Symbolic graded view of CW_q^t: block triples (I,J,K) summing to 2t.
+    """Symbolic graded view of CW_q^t: its nonzero block triples (I,J,K),
+    which sum to 2t.
 
     No explicit variables are materialized; each block triple points at its
-    canonical class key.  For q=0 only classes realizable without any
-    middle-labeled coordinate (all indices even) are kept.
+    canonical class key.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    P = 2 * t
-    support = set()
-    refs: dict[Triple, ClassKey] = {}
-    for I in range(P + 1):
-        for J in range(P + 1 - I):
-            K = P - I - J
-            if q == 0 and not (I % 2 == 0 and J % 2 == 0 and K % 2 == 0):
-                continue
-            support.add((I, J, K))
-            refs[(I, J, K)] = ClassKey.make(q, t, I, J, K)
-    labels = tuple(range(P + 1))
-    return PartitionedTensor(labels, labels, labels, P, frozenset(support), refs)
+    support = top_support(q, t)
+    refs = {trip: ClassKey.make(q, t, *trip) for trip in support}
+    labels = tuple(range(2 * t + 1))
+    return PartitionedTensor(labels, labels, labels, 2 * t, frozenset(support), refs)
 
 
 def split_subtensor(key: ClassKey) -> list[tuple[Triple, Triple]]:

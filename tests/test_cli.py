@@ -218,6 +218,15 @@ def _null_top_alpha_weight(data):
     data["top"]["alpha"][0]["w"] = None
 
 
+def _set_header(key, value, name):
+    # A q or t the engine would not run, or a q under which some entry is a
+    # zero class (at q = 0 every class with an odd index is).
+    def tamper(data):
+        data[key] = value
+    tamper.__name__ = name
+    return tamper
+
+
 def _null_top_alpha_at_best_class_value(data):
     # A top without alpha certifies nothing, not its best class's value.
     level_t = [e for e in data["entries"] if e["I"] + e["J"] + e["K"] == 2 * data["t"]]
@@ -240,6 +249,10 @@ def _null_top_alpha_at_best_class_value(data):
     _delete_top,
     _null_top_alpha_weight,
     _null_top_alpha_at_best_class_value,
+    _set_header("q", -1, "_q_negative"),
+    _set_header("q", "6", "_q_string"),
+    _set_header("q", 0, "_q_zero"),
+    _set_header("t", 3, "_t_3"),
 ])
 def test_cache_verify_fails_closed_on_tampered_t2_table(capsys, cache_dir, tamper):
     run(capsys, "analyze", "--q", "6", "--t", "2", "--tau", "0.8")
@@ -273,6 +286,19 @@ def test_iter_cap_below_one_is_config_error(capsys, cache_dir, command, extra, c
     assert not list(cache_dir.glob("*.json"))
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", ["--tau", "0.8"]),
+    ("omega", []),
+], ids=["analyze", "omega"])
+def test_negative_q_is_config_error(capsys, cache_dir, command, extra):
+    # Every class rule assumes q >= 0; q = -1 used to run to a meaningless table.
+    code = main([command, "--q", "-1", "--t", "2", *extra])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: q must be non-negative, got q=-1")
+    assert not list(cache_dir.glob("*.json"))
+
+
 @pytest.mark.parametrize("command", ["list", "verify"])
 @pytest.mark.parametrize("name", ["a-directory", "missing.json"])
 def test_cache_file_that_cannot_be_read_is_config_error(capsys, cache_dir, tmp_path,
@@ -301,6 +327,21 @@ def test_cache_schema_mismatch_exit_code(capsys, cache_dir):
     data["schema_version"] = 99
     path.write_text(json.dumps(data) + "\n")
     assert main(["cache", "verify"]) == EXIT_SCHEMA
+    assert main(["cache", "list"]) == EXIT_SCHEMA
+
+
+def test_cache_list_reports_a_table_that_does_not_load(capsys, cache_dir):
+    # One bad file used to hide the listing of every good one.
+    run(capsys, "analyze", "--q", "6", "--t", "1", "--tau", "0.8")
+    (good,) = cache_dir.glob("*.json")
+    data = json.loads(good.read_text())
+    del data["top"]
+    bad = cache_dir / "bad.json"
+    bad.write_text(json.dumps(data) + "\n")
+    code, out = run(capsys, "cache", "list")
+    assert code == EXIT_CERT
+    assert f"{bad}: FAILED to load: missing key 'top'" in out.splitlines()
+    assert f"{good}: q=6 t=1 tau=0.800000000 entries=2" in out.splitlines()
 
 
 def test_analyze_json_output_is_deterministic(capsys, cache_dir):

@@ -229,8 +229,7 @@ def test_stalled_class_ascent_stops_early():
         child: engine.analyze_class(k1).log_value + engine.analyze_class(k2).log_value
         for child, k1, k2 in _realizable_splits(key)
     }
-    res = heuristic_gamma(2, sorted(inner), inner, 0.791,
-                          max_iter=EngineConfig().heuristic_iter_cap)
+    res = heuristic_gamma(2, sorted(inner), inner, max_iter=EngineConfig().heuristic_iter_cap)
     assert res.iterations < 1000
     assert not res.converged
     # Its value with the cap.

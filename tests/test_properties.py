@@ -9,7 +9,8 @@ stall stop must change nothing but where a flat ascent ends.  A warm
 ascent start must reach the objective of the cold one.  Symmetrizing must
 give an S3-invariant distribution with each orbit's mass kept, and the
 closed-form realizability test of a class must agree with the explicit
-tensor power.
+tensor power and with its definition as a sum of block triples.  Rounding
+to the 1/n grid must keep each weight within 1/n and the total at 1.
 """
 
 import itertools
@@ -22,17 +23,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laserlab.distributions import (
-    FULL_S3, SupportDistribution, _permute, bound_terms, entropy, marginals, symmetrize,
+    FULL_S3, SupportDistribution, _permute, bound_terms, entropy, marginals, round_to_grid,
+    symmetrize,
 )
-from laserlab.laser_engine import (
-    CERT_DPS, EngineConfig, _certify_bound, _recursion_bound, class_is_realizable,
-)
+from laserlab.laser_engine import CERT_DPS, EngineConfig, _certify_bound, _recursion_bound
 from laserlab.solver import (
     HEURISTICS, KKT_TARGET, STALL_STEPS, _Arrays, _eg_ascent, _floored_log, _h2_objective,
     _h4_objective, _np_entropy, entropy_dual_bound, evaluate_gamma, heuristic_gamma,
     max_entropy_with_marginals,
 )
-from laserlab.tensor_core import enumerate_class_supports
+from laserlab.tensor_core import (
+    build_cw, class_is_realizable, enumerate_class_supports, grade_power, support_block_triples,
+    top_support,
+)
 
 CUBE = list(itertools.product(range(3), repeat=3))
 
@@ -90,7 +93,7 @@ def test_math_and_mpmath_backends_agree(data):
 def test_search_bound_matches_certified_bound(data):
     support, gamma = data.draw(weighted_supports())
     log_values = {t: data.draw(finite) for t in support}
-    cand = evaluate_gamma(support, log_values, 0.8, gamma, "h2")
+    cand = evaluate_gamma(support, log_values, gamma, "h2")
     with mp.workdps(CERT_DPS):
         certified = _certify_bound(
             _recursion_bound(None, cand), {t: mp.mpf(v) for t, v in log_values.items()}
@@ -262,10 +265,10 @@ def valued_supports(draw):
 def test_warm_starts_reach_the_cold_objective(valued, kind, pick):
     support, log_values = valued
     cap = EngineConfig().heuristic_iter_cap
-    cold = heuristic_gamma(kind, support, log_values, 0.8, max_iter=cap)
+    cold = heuristic_gamma(kind, support, log_values, max_iter=cap)
     point = SupportDistribution.point_mass(support[pick % len(support)])
     for start in (point, cold.distribution):
-        warm = heuristic_gamma(kind, support, log_values, 0.8, max_iter=cap, start=start)
+        warm = heuristic_gamma(kind, support, log_values, max_iter=cap, start=start)
         # A converged ascent is within its KKT gap of the concave optimum.
         # A warm one may also stop at the rounding floor of the objective
         # with a gap above the target, so its objective is what is checked.
@@ -296,10 +299,47 @@ def test_symmetrize_is_s3_invariant_and_keeps_orbit_mass(data):
         assert abs(math.fsum(sym[t] for t in orbit) - math.fsum(alpha[t] for t in orbit)) <= 1e-12
 
 
+def _block_triple_sums(q, t):
+    """The definition of a nonzero class: the t-fold sums of CW_q's block
+    triples, built one factor at a time."""
+    one = support_block_triples(build_cw(q))
+    sums = {(0, 0, 0)}
+    for _ in range(t):
+        sums = {(a + i, b + j, c + k) for (a, b, c) in sums for (i, j, k) in one}
+    return sums
+
+
+def _explicit_power(q, t):
+    return set(enumerate_class_supports(q, t))
+
+
 # The index domain is finite, so it is checked exhaustively, with one step
 # past each end so that negative and oversized indices are covered too.
-@pytest.mark.parametrize("q, t", list(itertools.product(range(4), (1, 2))))
-def test_class_is_realizable_matches_the_explicit_power(q, t):
-    nonzero = set(enumerate_class_supports(q, t))
+# The explicit power reaches t <= 2; the sums of block triples go further.
+@pytest.mark.parametrize("q, t, reference", [
+    *(pytest.param(q, t, _explicit_power, id=f"{q}-{t}")
+      for q, t in itertools.product(range(4), (1, 2))),
+    *(pytest.param(q, t, _block_triple_sums, id=f"{q}-{t}-sums")
+      for q, t in itertools.product((0, 1, 5), (1, 2, 4, 8))),
+])
+def test_class_is_realizable_matches_the_explicit_power(q, t, reference):
+    nonzero = reference(q, t)
     for ijk in itertools.product(range(-1, 2 * t + 2), repeat=3):
         assert class_is_realizable(q, t, *ijk) == (ijk in nonzero), ijk
+    assert set(top_support(q, t)) == set(grade_power(q, t).support) == nonzero
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=weighted_supports(), extra=st.integers(0, 200))
+def test_round_to_grid_keeps_the_grid_and_the_total(alpha, extra):
+    _, alpha = alpha
+    size = len(alpha.weights)
+    n = size + extra
+    grid = round_to_grid(alpha, n)
+    counts = {t: round(w * n) for t, w in grid.weights.items()}
+    assert sum(counts.values()) == n
+    for trip, w in grid.weights.items():
+        assert w == counts[trip] / n
+        assert abs(w - alpha[trip]) <= 1 / n + 1e-12
+    with pytest.raises(ValueError):
+        round_to_grid(alpha, size - 1)

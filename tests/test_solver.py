@@ -112,7 +112,7 @@ def test_kernel_dimension_on_toy():
 def test_heuristics_return_feasible_gamma(kind):
     rng = np.random.default_rng(1)
     lv = {t: float(rng.normal(scale=0.3)) for t in TOY}
-    res = heuristic_gamma(kind, TOY, lv, 0.8, max_iter=3000)
+    res = heuristic_gamma(kind, TOY, lv, max_iter=3000)
     w = [res.distribution[t] for t in TOY]
     assert math.isclose(sum(w), 1.0, abs_tol=1e-9)
     assert all(p >= -1e-15 for p in w)
@@ -121,13 +121,13 @@ def test_heuristics_return_feasible_gamma(kind):
 
 def test_h2_converges_on_toy():
     lv = {t: 0.0 for t in TOY}
-    res = heuristic_gamma(2, TOY, lv, 0.8)
+    res = heuristic_gamma(2, TOY, lv)
     assert res.kkt_residual <= 1e-9
 
 
 def test_evaluate_gamma_uniform_toy():
     lv = {t: 0.0 for t in TOY}
-    cand = evaluate_gamma(TOY, lv, 0.8, SupportDistribution.uniform(TOY), "uniform")
+    cand = evaluate_gamma(TOY, lv, SupportDistribution.uniform(TOY), "uniform")
     # Problem 1 keeps alpha uniform (alpha_N = 6), the dual confirms
     # max beta_N = 6, so the penalty vanishes and the bound is alpha_B = 3.
     assert math.isclose(cand.bound_log, math.log(3), abs_tol=1e-9)
@@ -136,7 +136,7 @@ def test_evaluate_gamma_uniform_toy():
 def test_full_pipeline_includes_point_mass_and_orders():
     rng = np.random.default_rng(2)
     lv = {t: float(rng.normal(scale=0.2)) for t in TOY}
-    out = full_pipeline_gamma(TOY, lv, 0.8, heuristics=(2, 4), max_iter=2000)
+    out = full_pipeline_gamma(TOY, lv, heuristics=(2, 4), max_iter=2000)
     names = {c.heuristic for c in out.candidates}
     assert "point-mass" in names
     point = next(c for c in out.candidates if c.heuristic == "point-mass")
@@ -146,23 +146,23 @@ def test_full_pipeline_includes_point_mass_and_orders():
 
 
 def test_full_pipeline_symmetrizes_only_role_symmetric_values():
-    equal = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, 0.8, max_iter=2000)
+    equal = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, max_iter=2000)
     assert [c.heuristic for c in equal.candidates] == ["point-mass", "h2", "h2+sym"]
     rng = np.random.default_rng(2)
     lv = {t: float(rng.normal(scale=0.2)) for t in TOY}
-    rand = full_pipeline_gamma(TOY, lv, 0.8, max_iter=2000)
+    rand = full_pipeline_gamma(TOY, lv, max_iter=2000)
     assert not any(c.heuristic.endswith("+sym") for c in rand.candidates)
 
 
 def test_failed_symmetrized_candidate_is_a_failure(monkeypatch):
     real = solver.evaluate_gamma
 
-    def evaluate(support, log_values, tau, gamma, heuristic):
+    def evaluate(support, log_values, gamma, heuristic):
         if heuristic.endswith("+sym"):
             raise InfeasibleMarginalsError("boom", 1.0)
-        return real(support, log_values, tau, gamma, heuristic)
+        return real(support, log_values, gamma, heuristic)
 
     monkeypatch.setattr(solver, "evaluate_gamma", evaluate)
-    out = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, 0.8, max_iter=2000)
+    out = full_pipeline_gamma(TOY, {t: 0.0 for t in TOY}, max_iter=2000)
     assert [f.split(":")[0] for f in out.failures] == ["h2+sym"]
     assert out.best.heuristic == "h2"

@@ -16,6 +16,7 @@ from laserlab.tensor_core import (
     matmul_tensor,
     split_subtensor,
     support_block_triples,
+    top_support,
     unit_tensor,
     zero_out,
 )
@@ -109,6 +110,12 @@ def test_grade_power_q0_drops_odd_classes():
     graded = grade_power(0, 1)
     # q=0 has no middle variables, so only the corner triples survive.
     assert graded.support == frozenset({(0, 0, 2), (0, 2, 0), (2, 0, 0)})
+
+
+@pytest.mark.parametrize("t, size", [(4, 45), (8, 153), (16, 561)])
+def test_top_support_has_every_triple_for_q_at_least_one(t, size):
+    # Every (I, J, K) >= 0 with I + J + K = 2t: C(2t+2, 2) of them.
+    assert len(top_support(5, t)) == math.comb(2 * t + 2, 2) == size
 
 
 def test_split_subtensor_children_sum():
